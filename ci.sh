@@ -16,7 +16,7 @@ cargo run -q --release -p phoenix-analyze -- --report results/analyze_report.jso
 
 echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
-cargo test -q
+cargo test --workspace -q
 
 echo "==> recovery timeline smoke (episode completeness + export round-trip)"
 cargo run -q --release -p phoenix-bench --bin recovery_timeline -- --quick

@@ -321,6 +321,7 @@ fn ckpt_campaign_same_seed_same_digest() {
     let (a, os_a) = run_ckpt_campaign(&cfg);
     let (b, os_b) = run_ckpt_campaign(&cfg);
     assert_eq!(a.digest, b.digest, "same seed must be byte-identical");
+    assert_eq!(a.digest, "bc5deed5ac7fd7f22bf46e7c6932a3a5");
     assert_eq!(metrics_digest(&os_a), metrics_digest(&os_b));
     assert!(a.workloads_done, "campaign workloads must finish");
     assert!(a.printer_byte_exact, "campaign printer stream exact");

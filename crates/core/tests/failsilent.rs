@@ -24,6 +24,7 @@ fn same_seed_campaigns_are_byte_identical() {
     let (a, _) = run_failsilent_campaign(&cfg);
     let (b, _) = run_failsilent_campaign(&cfg);
     assert_eq!(a.digest, b.digest, "same-seed campaign digests must match");
+    assert_eq!(a.digest, "f71e5df9c86402b674d9ff536f47fcbd");
     assert!(a.injections() > 0, "mutations were applied");
     // Every round resolves to exactly one outcome per class.
     let outcomes = a.detected() + a.fail_silent() + a.benign();
@@ -44,6 +45,7 @@ fn no_fault_control_run_is_clean() {
     assert!(control.echoed > 0, "net workload live");
     assert!(control.disk_bytes > 0, "block workload live");
     assert!(control.printed > 0, "char workload live");
+    assert_eq!(control.digest, "3d0a5b26b5bd1ba8e03e2bc78cea0ff6");
 }
 
 /// Boots a char-device machine, garbles the printer's checksum

@@ -247,6 +247,7 @@ fn same_seed_runs_are_byte_identical() {
     let (a, _) = run_microreboot_campaign(&cfg);
     let (b, _) = run_microreboot_campaign(&cfg);
     assert_eq!(a.digest, b.digest, "same seed, same bytes");
+    assert_eq!(a.digest, "237b348de2888f137828e2a8846460de");
     assert!(a.coverage() > 0.0);
 }
 
@@ -258,6 +259,7 @@ fn no_fault_control_never_restarts_a_healthy_server() {
     assert_eq!(control.pm_recoveries, 0, "no false PM recoveries");
     assert_eq!(control.complaints_accepted, 0, "no accepted complaints");
     assert_eq!(control.escalations, 0, "no escalations");
+    assert_eq!(control.digest, "26d3f5ef7cc667ef9fc51df0a839f155");
     assert!(
         control.echoed > 0 && control.disk_bytes > 0,
         "workloads live"

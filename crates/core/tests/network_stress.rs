@@ -108,6 +108,12 @@ fn campaign_against_wedgeable_hardware_recovers_with_hard_resets() {
     };
     let (result, _) = run_campaign(&cfg);
     assert!(result.injections == 400);
+    assert_eq!(
+        result.render(),
+        "injected 400 faults -> 9 detectable crashes: 9 exits/panics (100%), \
+         0 CPU/MMU exceptions (0%), 0 missing heartbeats (0%); recovery ok 9 \
+         (100.0%), hard resets 1, silent freezes (user restart) 0"
+    );
     assert!(
         !result.crashes.is_empty(),
         "some mutations must crash the driver"

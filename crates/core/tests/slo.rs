@@ -124,6 +124,7 @@ fn slo_campaign_is_deterministic() {
     let a = run_slo_campaign(&small_cfg()).0;
     let b = run_slo_campaign(&small_cfg()).0;
     assert_eq!(a.digest, b.digest, "same seed, same digest");
+    assert_eq!(a.digest, "293cebdccd95efa185074870c1e2f8fa");
     assert_eq!(a.completed, b.completed);
     assert_eq!(a.failed, b.failed);
     assert_eq!(a.peak_live, b.peak_live);

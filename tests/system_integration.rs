@@ -327,6 +327,7 @@ fn adaptation_trajectory_is_deterministic_per_seed() {
     let (b, _) = run_standby_campaign(&cfg);
     assert!(a.adapt_updates > 0, "the adapt controllers never stepped");
     assert_eq!(a.digest, b.digest, "same-seed metrics digests diverged");
+    assert_eq!(a.digest, "8cfa9dc9237ef98570c1e04d8a0052ae");
     assert_eq!(a.adapt_gauges, b.adapt_gauges);
     assert_eq!(a.adapt_trace, b.adapt_trace);
     assert!(a.adapt_out_of_band.is_empty(), "{:?}", a.adapt_out_of_band);
