@@ -1270,18 +1270,6 @@ impl Os {
         self.bus.hard_reset(dev);
     }
 
-    /// Installs directional chaos (partition / asymmetric loss) on the
-    /// NIC's wire — the node-level network fault seam the fleet layer
-    /// and targeted transport tests drive.
-    pub fn set_wire_chaos(&mut self, chaos: phoenix_hw::WireChaos) {
-        self.bus.set_wire_chaos(hwmap::NIC, chaos);
-    }
-
-    /// Heals the NIC wire (removes directional chaos).
-    pub fn clear_wire_chaos(&mut self) {
-        self.bus.clear_wire_chaos(hwmap::NIC);
-    }
-
     /// Installs an IPC-fabric chaos interposer.
     pub fn set_chaos(&mut self, chaos: Box<dyn ChaosInterposer>) {
         self.sys.set_chaos(chaos);

@@ -149,7 +149,6 @@ pub struct PeerCtx<'a, 'b> {
     dev: DeviceId,
     latency: SimDuration,
     loss_to_host: f64,
-    cut_to_host: bool,
     hw: &'a mut HwCtx<'b>,
 }
 
@@ -162,14 +161,12 @@ impl<'a, 'b> PeerCtx<'a, 'b> {
         dev: DeviceId,
         latency: SimDuration,
         loss_to_host: f64,
-        cut_to_host: bool,
         hw: &'a mut HwCtx<'b>,
     ) -> Self {
         PeerCtx {
             dev,
             latency,
             loss_to_host,
-            cut_to_host,
             hw,
         }
     }
@@ -193,9 +190,6 @@ impl<'a, 'b> PeerCtx<'a, 'b> {
     /// Sends a frame towards the host NIC after an extra `delay` (used by
     /// peers to pace transmissions at their uplink rate).
     pub fn send_to_host_after(&mut self, delay: SimDuration, frame: Vec<u8>) {
-        if self.cut_to_host {
-            return;
-        }
         let lost = self.loss_to_host > 0.0 && {
             let p = self.loss_to_host;
             self.hw.rng().chance(p)
@@ -251,57 +245,6 @@ impl Default for WireConfig {
     }
 }
 
-/// Directional wire fault state, applied *on top of* [`WireConfig`]'s
-/// symmetric per-frame loss. This is the chaos layer's seam for network
-/// partitions and asymmetric loss: a hard `cut_*` drops every frame in
-/// that direction (a partition), while `loss_*` raises one direction's
-/// per-frame drop probability to `max(baseline, chaos)` — the failure
-/// mode the symmetric `loss_prob` cannot express. Cleared (all-zero)
-/// chaos is
-/// byte-for-byte equivalent to no chaos, including RNG consumption, so
-/// installing and removing it never perturbs unrelated streams.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct WireChaos {
-    /// Extra per-frame loss probability in the host→peer direction.
-    pub loss_to_peer: f64,
-    /// Extra per-frame loss probability in the peer→host direction.
-    pub loss_to_host: f64,
-    /// Hard partition host→peer: every outbound frame is dropped.
-    pub cut_to_peer: bool,
-    /// Hard partition peer→host: every inbound frame is dropped.
-    pub cut_to_host: bool,
-}
-
-impl WireChaos {
-    /// A full (two-way) partition.
-    pub fn partition() -> Self {
-        WireChaos {
-            cut_to_peer: true,
-            cut_to_host: true,
-            ..Self::default()
-        }
-    }
-
-    /// A one-way partition: host frames still reach the peer, nothing
-    /// comes back (the asymmetric failure a symmetric loss knob cannot
-    /// model — ACK starvation with an intact forward path).
-    pub fn one_way_to_host_cut() -> Self {
-        WireChaos {
-            cut_to_host: true,
-            ..Self::default()
-        }
-    }
-
-    /// A one-way partition in the opposite direction: the peer's frames
-    /// arrive, the host's never leave.
-    pub fn one_way_to_peer_cut() -> Self {
-        WireChaos {
-            cut_to_peer: true,
-            ..Self::default()
-        }
-    }
-}
-
 struct DeviceSlot {
     irq: IrqLine,
     dev: Box<dyn Device>,
@@ -309,7 +252,6 @@ struct DeviceSlot {
 
 struct WireSlot {
     cfg: WireConfig,
-    chaos: WireChaos,
     peer: Box<dyn RemotePeer>,
 }
 
@@ -338,27 +280,7 @@ impl Bus {
 
     /// Attaches a wire + remote peer to a NIC device.
     pub fn attach_peer(&mut self, dev: DeviceId, cfg: WireConfig, peer: Box<dyn RemotePeer>) {
-        self.wires.insert(
-            dev,
-            WireSlot {
-                cfg,
-                chaos: WireChaos::default(),
-                peer,
-            },
-        );
-    }
-
-    /// Installs directional wire chaos (partition / asymmetric loss) on
-    /// the wire attached to `dev`. Replaces any previous chaos state.
-    pub fn set_wire_chaos(&mut self, dev: DeviceId, chaos: WireChaos) {
-        if let Some(slot) = self.wires.get_mut(&dev) {
-            slot.chaos = chaos;
-        }
-    }
-
-    /// Heals the wire attached to `dev` (removes directional chaos).
-    pub fn clear_wire_chaos(&mut self, dev: DeviceId) {
-        self.set_wire_chaos(dev, WireChaos::default());
+        self.wires.insert(dev, WireSlot { cfg, peer });
     }
 
     /// Typed access to a device model (tests and machine-level observers).
@@ -432,17 +354,12 @@ impl Platform for Bus {
         let (dev, kind) = decode_chan(channel);
         match kind {
             chan::WIRE_TX => {
-                // NIC -> wire: apply partition, loss, and latency towards
-                // the peer. The baseline symmetric loss and the directional
-                // chaos loss are independent drop trials.
+                // NIC -> wire: apply loss and latency towards the peer.
                 let Some(w) = self.wires.get(&dev) else {
                     return;
                 };
-                if w.chaos.cut_to_peer {
-                    return;
-                }
                 let latency = w.cfg.latency;
-                let loss = w.cfg.loss_prob.max(w.chaos.loss_to_peer);
+                let loss = w.cfg.loss_prob;
                 if loss > 0.0 && ctx.rng().chance(loss) {
                     return;
                 }
@@ -453,13 +370,7 @@ impl Platform for Bus {
                 let Some(w) = self.wires.get_mut(&dev) else {
                     return;
                 };
-                let mut pctx = PeerCtx::new(
-                    dev,
-                    w.cfg.latency,
-                    w.cfg.loss_prob.max(w.chaos.loss_to_host),
-                    w.chaos.cut_to_host,
-                    ctx,
-                );
+                let mut pctx = PeerCtx::new(dev, w.cfg.latency, w.cfg.loss_prob, ctx);
                 w.peer.frame_from_host(&mut pctx, &payload);
             }
             chan::WIRE_TO_HOST => {
@@ -470,13 +381,7 @@ impl Platform for Bus {
                     return;
                 };
                 let token = u64::from_le_bytes(payload.try_into().unwrap_or_default());
-                let mut pctx = PeerCtx::new(
-                    dev,
-                    w.cfg.latency,
-                    w.cfg.loss_prob.max(w.chaos.loss_to_host),
-                    w.chaos.cut_to_host,
-                    ctx,
-                );
+                let mut pctx = PeerCtx::new(dev, w.cfg.latency, w.cfg.loss_prob, ctx);
                 w.peer.timer(&mut pctx, token);
             }
             _ => {}
@@ -605,107 +510,6 @@ mod tests {
         drive(&mut bus, fx);
         let nic: &mut EchoNic = bus.device_mut(dev).unwrap();
         assert!(nic.rx.is_empty());
-    }
-
-    /// Peer that counts frames it receives and echoes them (for
-    /// asymmetric-loss tests: the count proves the forward path worked
-    /// even when nothing makes it back).
-    struct CountingPeer {
-        seen: u64,
-    }
-    impl RemotePeer for CountingPeer {
-        fn frame_from_host(&mut self, ctx: &mut PeerCtx<'_, '_>, frame: &[u8]) {
-            self.seen += 1;
-            ctx.send_to_host(frame.to_vec());
-        }
-        fn as_any(&mut self) -> &mut dyn Any {
-            self
-        }
-    }
-
-    fn send_one(bus: &mut Bus, dev: DeviceId, byte: u32) {
-        let mut mem = MemoryPool::new();
-        let mut rng = SimRng::new(7);
-        let mut fx = Vec::new();
-        {
-            let mut ctx = HwCtx::new(SimTime::ZERO, &mut mem, &mut rng, &mut fx);
-            bus.io_write(dev, 0, byte, &mut ctx);
-        }
-        drive(bus, fx);
-    }
-
-    #[test]
-    fn one_way_cut_to_host_starves_replies_but_not_requests() {
-        let dev = DeviceId(1);
-        let mut bus = Bus::new();
-        bus.add_device(dev, 3, Box::new(EchoNic { rx: Vec::new() }));
-        bus.attach_peer(
-            dev,
-            WireConfig::default(),
-            Box::new(CountingPeer { seen: 0 }),
-        );
-        bus.set_wire_chaos(dev, WireChaos::one_way_to_host_cut());
-        send_one(&mut bus, dev, 0x11);
-        // Forward path intact: the peer saw the frame...
-        assert_eq!(bus.peer_mut::<CountingPeer>(dev).unwrap().seen, 1);
-        // ...but nothing came back.
-        assert!(bus.device_mut::<EchoNic>(dev).unwrap().rx.is_empty());
-    }
-
-    #[test]
-    fn one_way_cut_to_peer_blocks_requests() {
-        let dev = DeviceId(1);
-        let mut bus = Bus::new();
-        bus.add_device(dev, 3, Box::new(EchoNic { rx: Vec::new() }));
-        bus.attach_peer(
-            dev,
-            WireConfig::default(),
-            Box::new(CountingPeer { seen: 0 }),
-        );
-        bus.set_wire_chaos(dev, WireChaos::one_way_to_peer_cut());
-        send_one(&mut bus, dev, 0x22);
-        assert_eq!(bus.peer_mut::<CountingPeer>(dev).unwrap().seen, 0);
-        assert!(bus.device_mut::<EchoNic>(dev).unwrap().rx.is_empty());
-    }
-
-    #[test]
-    fn asymmetric_loss_probability_starves_one_direction() {
-        let dev = DeviceId(1);
-        let mut bus = Bus::new();
-        bus.add_device(dev, 3, Box::new(EchoNic { rx: Vec::new() }));
-        bus.attach_peer(
-            dev,
-            WireConfig::default(),
-            Box::new(CountingPeer { seen: 0 }),
-        );
-        bus.set_wire_chaos(
-            dev,
-            WireChaos {
-                loss_to_host: 1.0,
-                ..WireChaos::default()
-            },
-        );
-        send_one(&mut bus, dev, 0x33);
-        assert_eq!(bus.peer_mut::<CountingPeer>(dev).unwrap().seen, 1);
-        assert!(bus.device_mut::<EchoNic>(dev).unwrap().rx.is_empty());
-    }
-
-    #[test]
-    fn healed_partition_restores_roundtrip() {
-        let dev = DeviceId(1);
-        let mut bus = Bus::new();
-        bus.add_device(dev, 3, Box::new(EchoNic { rx: Vec::new() }));
-        bus.attach_peer(
-            dev,
-            WireConfig::default(),
-            Box::new(CountingPeer { seen: 0 }),
-        );
-        bus.set_wire_chaos(dev, WireChaos::partition());
-        send_one(&mut bus, dev, 0x44);
-        assert!(bus.device_mut::<EchoNic>(dev).unwrap().rx.is_empty());
-        bus.clear_wire_chaos(dev);
-        send_one(&mut bus, dev, 0x55);
-        assert_eq!(bus.device_mut::<EchoNic>(dev).unwrap().rx, vec![vec![0x55]]);
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub mod dp8390;
 pub mod rtl8139;
 pub mod uart;
 
-pub use bus::{Bus, DevCtx, Device, PeerCtx, RemotePeer, WireChaos, WireConfig};
+pub use bus::{Bus, DevCtx, Device, PeerCtx, RemotePeer, WireConfig};
 pub use chardev::{AudioDac, Printer, ScsiCdBurner};
 pub use disk::{DiskDevice, DiskModel, DiskTiming};
 pub use dp8390::Dp8390;

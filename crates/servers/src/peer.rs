@@ -345,7 +345,6 @@ mod tests {
         peer: &mut FilePeer,
         at: SimTime,
         loss_to_host: f64,
-        cut_to_host: bool,
         seg: &Segment,
     ) -> (Vec<Vec<u8>>, Vec<u64>) {
         let mut mem = MemoryPool::new();
@@ -353,7 +352,7 @@ mod tests {
         let mut fx = Vec::new();
         {
             let mut hw = HwCtx::new(at, &mut mem, &mut rng, &mut fx);
-            let mut ctx = PeerCtx::new(DEV, LATENCY, loss_to_host, cut_to_host, &mut hw);
+            let mut ctx = PeerCtx::new(DEV, LATENCY, loss_to_host, &mut hw);
             peer.frame_from_host(&mut ctx, &seg.encode());
         }
         split_fx(&fx)
@@ -370,7 +369,7 @@ mod tests {
         let mut fx = Vec::new();
         {
             let mut hw = HwCtx::new(at, &mut mem, &mut rng, &mut fx);
-            let mut ctx = PeerCtx::new(DEV, LATENCY, loss_to_host, false, &mut hw);
+            let mut ctx = PeerCtx::new(DEV, LATENCY, loss_to_host, &mut hw);
             peer.timer(&mut ctx, token);
         }
         split_fx(&fx)
@@ -390,7 +389,7 @@ mod tests {
             ack: 0,
             payload: Vec::new(),
         };
-        let (frames, _) = feed(&mut peer, SimTime::ZERO, 1.0, false, &syn);
+        let (frames, _) = feed(&mut peer, SimTime::ZERO, 1.0, &syn);
         assert!(frames.is_empty(), "SYN-ACK must be lost on the broken leg");
 
         // The request still arrives: loss is asymmetric.
@@ -402,7 +401,7 @@ mod tests {
             payload: b"GET 4000 5".to_vec(),
         };
         let at = SimTime::ZERO + SimDuration::from_millis(1);
-        let (frames, timers) = feed(&mut peer, at, 1.0, false, &get);
+        let (frames, timers) = feed(&mut peer, at, 1.0, &get);
         assert!(frames.is_empty(), "data segments lost towards the host");
         assert_eq!(timers.len(), 1, "an RTO must be armed for the window");
         assert_eq!(peer.retransmissions(), 0);
@@ -417,16 +416,5 @@ mod tests {
         let first = Segment::decode(&frames[0]).expect("valid segment");
         assert_eq!(first.seq, 0, "go-back-N restarts from snd_una");
         assert_eq!(first.payload.len(), MSS);
-    }
-
-    /// A hard one-way partition behaves like loss-probability 1.0: the
-    /// cut leg drops everything, and the peer's state still advances.
-    #[test]
-    fn one_way_partition_cut_drops_replies_but_state_advances() {
-        let mut peer = FilePeer::new(PeerConfig::default());
-        let dgram = Segment::dgram(3, 42, b"ping".to_vec());
-        let (frames, _) = feed(&mut peer, SimTime::ZERO, 0.0, true, &dgram);
-        assert!(frames.is_empty(), "echo dropped by the cut");
-        assert_eq!(peer.dgrams_echoed(), 1, "peer still processed the ping");
     }
 }
