@@ -24,7 +24,7 @@ fn main() -> ExitCode {
             intensity,
             ..ChaosCampaignConfig::default()
         };
-        let r = run_chaos_campaign(&cfg);
+        let (r, _) = run_chaos_campaign(&cfg);
         println!("{}", r.render());
         let _ = writeln!(report, "{}", r.render());
         gate.require(
@@ -76,7 +76,7 @@ fn main() -> ExitCode {
             .collect();
         let _ = writeln!(report, "{}", cells.join(" "));
     }
-    write_report("chaos_campaign", false, &report);
+    write_report("chaos_campaign", false, "txt", &report);
 
     gate.finish(
         "all gates passed: 100% recovery, zero storms and zero give-ups at\n\

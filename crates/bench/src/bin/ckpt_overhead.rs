@@ -22,8 +22,7 @@ use std::fmt::Write as _;
 use std::process::ExitCode;
 
 use phoenix::campaign::{run_ckpt_campaign, CkptCampaignConfig};
-use phoenix::Os;
-use phoenix_bench::{print_table, quick_mode, workspace_root};
+use phoenix_bench::{phase_rows, print_table, quick_mode, write_report, CampaignGate};
 use phoenix_simcore::time::SimDuration;
 
 fn cfg(quick: bool, checkpointing: bool) -> CkptCampaignConfig {
@@ -33,30 +32,6 @@ fn cfg(quick: bool, checkpointing: bool) -> CkptCampaignConfig {
         kill_interval: SimDuration::from_millis(400),
         checkpointing,
     }
-}
-
-fn phase_rows(os: &mut Os) -> Vec<Vec<String>> {
-    let mut rows = Vec::new();
-    for phase in ["detect", "repair", "reintegrate", "replay", "total"] {
-        let name = format!("recovery.phase.{phase}");
-        let h = os.metrics_mut().histogram_mut(&name);
-        if h.count() == 0 {
-            continue;
-        }
-        let fmt = |d: Option<SimDuration>| match d {
-            Some(d) => format!("{d}"),
-            None => "-".to_string(),
-        };
-        rows.push(vec![
-            phase.to_string(),
-            format!("{}", h.count()),
-            fmt(h.mean_duration()),
-            fmt(h.quantile_duration(0.5)),
-            fmt(h.quantile_duration(0.95)),
-            fmt(h.max_duration()),
-        ]);
-    }
-    rows
 }
 
 fn main() -> ExitCode {
@@ -106,41 +81,44 @@ fn main() -> ExitCode {
     let phases = phase_rows(&mut os);
     print_table(&phase_headers, &phases);
 
-    let mut failures = Vec::new();
-    if ckpt.digest != ckpt2.digest {
-        failures.push("same-seed checkpointed runs diverged (digest mismatch)".to_string());
-    }
-    if !ckpt.workloads_done {
-        failures.push("checkpointed workloads did not finish".to_string());
-    }
-    if ckpt.app_visible_errors != 0 {
-        failures.push(format!(
+    let mut gate = CampaignGate::new();
+    gate.require(
+        ckpt.digest == ckpt2.digest,
+        "same-seed checkpointed runs diverged (digest mismatch)",
+    );
+    gate.require(ckpt.workloads_done, "checkpointed workloads did not finish");
+    gate.require(
+        ckpt.app_visible_errors == 0,
+        format!(
             "checkpointed recovery leaked {} errors to the applications",
             ckpt.app_visible_errors
-        ));
-    }
-    if !ckpt.printer_byte_exact {
-        failures.push(format!(
+        ),
+    );
+    gate.require(
+        ckpt.printer_byte_exact,
+        format!(
             "checkpointed printer stream not byte-exact ({}/{} bytes)",
             ckpt.printed_bytes, ckpt.expected_printed
-        ));
-    }
-    if ckpt.samples_played != ckpt.expected_samples {
-        failures.push(format!(
+        ),
+    );
+    gate.require(
+        ckpt.samples_played == ckpt.expected_samples,
+        format!(
             "checkpointed audio stream incomplete ({}/{} bytes)",
             ckpt.samples_played, ckpt.expected_samples
-        ));
-    }
-    if ckpt.recovered_kills != ckpt.kills {
-        failures.push(format!(
+        ),
+    );
+    gate.require(
+        ckpt.recovered_kills == ckpt.kills,
+        format!(
             "only {}/{} kills recovered",
             ckpt.recovered_kills, ckpt.kills
-        ));
-    }
-    if legacy.app_visible_errors == 0 {
-        failures
-            .push("baseline run surfaced no errors — §6.3 error-push semantics lost".to_string());
-    }
+        ),
+    );
+    gate.require(
+        legacy.app_visible_errors != 0,
+        "baseline run surfaced no errors — §6.3 error-push semantics lost",
+    );
 
     // ---- report into results/ ----
     let mut report = String::new();
@@ -153,24 +131,10 @@ fn main() -> ExitCode {
     for row in &phases {
         let _ = writeln!(report, "{}", row.join("  "));
     }
-    let suffix = if quick { "_quick" } else { "" };
-    let dir = workspace_root().join("results");
-    let _ = std::fs::create_dir_all(&dir);
-    let path = dir.join(format!("ckpt_overhead{suffix}.txt"));
-    if let Err(e) = std::fs::write(&path, &report) {
-        eprintln!("failed to write {}: {e}", path.display());
-    } else {
-        println!("\nwrote {}", path.display());
-    }
+    write_report("ckpt_overhead", quick, "txt", &report);
 
-    if failures.is_empty() {
-        println!("\nall gates passed: checkpointed recovery transparent and");
-        println!("byte-exact, baseline still pushes errors, runs deterministic");
-        ExitCode::SUCCESS
-    } else {
-        for f in &failures {
-            eprintln!("GATE FAILED: {f}");
-        }
-        ExitCode::FAILURE
-    }
+    gate.finish(
+        "all gates passed: checkpointed recovery transparent and\n\
+         byte-exact, baseline still pushes errors, runs deterministic",
+    )
 }

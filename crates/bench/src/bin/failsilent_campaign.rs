@@ -155,7 +155,7 @@ fn main() -> ExitCode {
     let _ = writeln!(report);
     let _ = writeln!(report, "{}", timeline.render());
 
-    write_report("failsilent_campaign", quick, &report);
+    write_report("failsilent_campaign", quick, "txt", &report);
 
     gate.finish(
         "all gates passed: same-seed digest identical, sentinel-only\n\

@@ -122,7 +122,7 @@ fn main() -> ExitCode {
         "no-fault control: {} convictions, {} reboots",
         control.convictions, control.reboots
     );
-    write_report("fleet_campaign", quick, &report);
+    write_report("fleet_campaign", quick, "txt", &report);
 
     gate.finish(
         "all gates passed: same-seed fleet digest identical, every node fault\n\

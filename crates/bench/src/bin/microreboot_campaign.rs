@@ -157,7 +157,7 @@ fn main() -> ExitCode {
     let _ = writeln!(report);
     let _ = writeln!(report, "{}", timeline.render());
 
-    write_report("microreboot_campaign", quick, &report);
+    write_report("microreboot_campaign", quick, "txt", &report);
 
     gate.finish(
         "all gates passed: same-seed digest identical, coverage and\n\

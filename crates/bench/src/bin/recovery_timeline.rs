@@ -20,9 +20,8 @@
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
-use phoenix::campaign::{run_chaos_campaign_traced, ChaosCampaignConfig};
-use phoenix::Os;
-use phoenix_bench::{print_table, quick_mode, workspace_root};
+use phoenix::campaign::{run_chaos_campaign, ChaosCampaignConfig};
+use phoenix_bench::{phase_rows, print_table, quick_mode, write_report, CampaignGate};
 use phoenix_simcore::export::{export_chrome_trace, export_jsonl, parse_jsonl};
 use phoenix_simcore::time::SimDuration;
 
@@ -39,30 +38,6 @@ fn cfg(quick: bool) -> ChaosCampaignConfig {
     }
 }
 
-fn phase_rows(os: &mut Os) -> Vec<Vec<String>> {
-    let mut rows = Vec::new();
-    for phase in ["detect", "repair", "reintegrate", "total"] {
-        let name = format!("recovery.phase.{phase}");
-        let h = os.metrics_mut().histogram_mut(&name);
-        if h.count() == 0 {
-            continue;
-        }
-        let fmt = |d: Option<SimDuration>| match d {
-            Some(d) => format!("{d}"),
-            None => "-".to_string(),
-        };
-        rows.push(vec![
-            phase.to_string(),
-            format!("{}", h.count()),
-            fmt(h.mean_duration()),
-            fmt(h.quantile_duration(0.5)),
-            fmt(h.quantile_duration(0.95)),
-            fmt(h.max_duration()),
-        ]);
-    }
-    rows
-}
-
 fn main() -> ExitCode {
     let quick = quick_mode();
     let cfg = cfg(quick);
@@ -74,23 +49,22 @@ fn main() -> ExitCode {
     );
 
     // Two same-seed runs: the second exists only to check determinism.
-    let (result, os) = run_chaos_campaign_traced(&cfg);
-    let (_, os2) = run_chaos_campaign_traced(&cfg);
+    let (result, mut os) = run_chaos_campaign(&cfg);
+    let (_, os2) = run_chaos_campaign(&cfg);
     let jsonl = export_jsonl(os.trace().events());
     let jsonl2 = export_jsonl(os2.trace().events());
-    let mut os = os;
 
-    let mut failures = Vec::new();
-    if jsonl != jsonl2 {
-        failures.push("same-seed runs exported different JSONL traces".to_string());
-    }
+    let mut gate = CampaignGate::new();
+    gate.require(
+        jsonl == jsonl2,
+        "same-seed runs exported different JSONL traces",
+    );
     match parse_jsonl(&jsonl) {
-        Ok(parsed) => {
-            if export_jsonl(parsed.iter()) != jsonl {
-                failures.push("JSONL round-trip is lossy".to_string());
-            }
-        }
-        Err(e) => failures.push(format!("JSONL export failed to parse back: {e}")),
+        Ok(parsed) => gate.require(
+            export_jsonl(parsed.iter()) == jsonl,
+            "JSONL round-trip is lossy",
+        ),
+        Err(e) => gate.fail(format!("JSONL export failed to parse back: {e}")),
     }
 
     let timeline = os.timeline();
@@ -99,27 +73,21 @@ fn main() -> ExitCode {
     println!("{}", timeline.render());
 
     let expected = result.kills.iter().filter(|k| k.recovered).count();
-    if timeline.complete_count() < expected {
-        failures.push(format!(
+    gate.require(
+        timeline.complete_count() >= expected,
+        format!(
             "only {} complete episodes for {} recovered kills",
             timeline.complete_count(),
             expected
-        ));
-    }
+        ),
+    );
     for ep in timeline.unaccounted() {
-        failures.push(format!("unaccounted episode: {}", ep.render()));
+        gate.fail(format!("unaccounted episode: {}", ep.render()));
     }
     for ep in timeline.episodes.iter().filter(|e| e.complete()) {
         if ep.detection().is_none() || ep.repair().is_none() || ep.reintegration().is_none() {
-            failures.push(format!("episode missing a phase: {}", ep.render()));
+            gate.fail(format!("episode missing a phase: {}", ep.render()));
         }
-    }
-    if result.trace_dropped > 0 {
-        println!(
-            "WARNING: {} trace events lost to ring eviction; the timeline \
-             above may be missing episodes",
-            result.trace_dropped
-        );
     }
 
     let headers = ["phase", "episodes", "mean", "p50", "p95", "max"];
@@ -134,33 +102,17 @@ fn main() -> ExitCode {
     for row in &rows {
         let _ = writeln!(report, "{}", row.join("  "));
     }
-    let suffix = if quick { "_quick" } else { "" };
-    let dir = workspace_root().join("results");
-    let _ = std::fs::create_dir_all(&dir);
-    let write = |name: &str, data: &str| {
-        let path = dir.join(name);
-        if let Err(e) = std::fs::write(&path, data) {
-            eprintln!("failed to write {}: {e}", path.display());
-        } else {
-            println!("wrote {}", path.display());
-        }
-    };
-    println!();
-    write(&format!("recovery_timeline{suffix}.txt"), &report);
-    write(&format!("recovery_timeline{suffix}.jsonl"), &jsonl);
-    write(
-        &format!("recovery_timeline{suffix}.trace.json"),
+    write_report("recovery_timeline", quick, "txt", &report);
+    write_report("recovery_timeline", quick, "jsonl", &jsonl);
+    write_report(
+        "recovery_timeline",
+        quick,
+        "trace.json",
         &export_chrome_trace(&timeline),
     );
 
-    if failures.is_empty() {
-        println!("\nall gates passed: every kill reconstructed, phases complete,");
-        println!("same-seed exports byte-identical, JSONL round-trips losslessly");
-        ExitCode::SUCCESS
-    } else {
-        for f in &failures {
-            eprintln!("GATE FAILED: {f}");
-        }
-        ExitCode::FAILURE
-    }
+    gate.finish(
+        "all gates passed: every kill reconstructed, phases complete,\n\
+         same-seed exports byte-identical, JSONL round-trips losslessly",
+    )
 }

@@ -32,7 +32,7 @@ use std::process::ExitCode;
 
 use phoenix::campaign::{run_slo_campaign, SloCampaignConfig, SloCampaignResult};
 use phoenix::loadgen::{InetLoadConfig, VfsLoadConfig};
-use phoenix_bench::{print_table, quick_mode, workspace_root};
+use phoenix_bench::{print_table, quick_mode, workspace_root, write_report, CampaignGate};
 use phoenix_simcore::obs::phase;
 use phoenix_simcore::time::SimDuration;
 
@@ -207,7 +207,7 @@ fn render_json(quick: bool, runs: &[(SweepPoint, SloCampaignResult)]) -> String 
             u8::from(r.inet_drained),
             u8::from(r.vfs_drained),
             r.unaccounted_episodes,
-            r.trace_dropped,
+            r.trace_loss.total,
             r.digest,
         );
         push_phase(&mut out, r);
@@ -259,7 +259,7 @@ fn main() -> ExitCode {
         if quick { ", --quick" } else { "" },
     );
 
-    let mut failures = Vec::new();
+    let mut gate = CampaignGate::new();
     let mut runs: Vec<(SweepPoint, SloCampaignResult)> = Vec::new();
     for pt in points {
         let (result, _os) = run_slo_campaign(&pt.cfg);
@@ -273,12 +273,13 @@ fn main() -> ExitCode {
             // Digest gate: the campaign must be a pure function of its
             // seed — rerun the primary point and compare.
             let (rerun, _os) = run_slo_campaign(&pt.cfg);
-            if rerun.digest != result.digest {
-                failures.push(format!(
+            gate.require(
+                rerun.digest == result.digest,
+                format!(
                     "same-seed digests differ: {} vs {}",
                     result.digest, rerun.digest
-                ));
-            }
+                ),
+            );
         }
         runs.push((pt, result));
     }
@@ -288,16 +289,16 @@ fn main() -> ExitCode {
         let tag = format!("[{} x {}]", pt.load, pt.intensity_permille);
         let unrecovered = r.kills.iter().filter(|k| !k.recovered).count();
         if unrecovered > 0 {
-            failures.push(format!("{tag} {unrecovered} kills did not recover"));
+            gate.fail(format!("{tag} {unrecovered} kills did not recover"));
         }
         if !r.inet_drained || !r.vfs_drained {
-            failures.push(format!(
+            gate.fail(format!(
                 "{tag} load did not drain (inet {}, vfs {})",
                 r.inet_drained, r.vfs_drained
             ));
         }
         if r.unaccounted_episodes > 0 {
-            failures.push(format!(
+            gate.fail(format!(
                 "{tag} {} recovery episodes unaccounted in the fold",
                 r.unaccounted_episodes
             ));
@@ -315,14 +316,14 @@ fn main() -> ExitCode {
             .map(|p| p.requests)
             .sum();
             if rec_requests == 0 {
-                failures.push(format!(
+                gate.fail(format!(
                     "{tag} no requests attributed to any recovery phase"
                 ));
             }
             let _ = rec_samples;
         }
         if !quick && pt.load == "full" && r.peak_live < 10_000 {
-            failures.push(format!(
+            gate.fail(format!(
                 "{tag} peak_live {} below the 10^4-session floor",
                 r.peak_live
             ));
@@ -331,10 +332,9 @@ fn main() -> ExitCode {
 
     // ---- regression gate against the committed baseline ----
     let suffix = if quick { "_quick" } else { "" };
-    let dir = workspace_root().join("results");
-    let path = dir.join(format!("BENCH_slo{suffix}.json"));
+    let path = workspace_root().join(format!("results/BENCH_slo{suffix}.json"));
     if let Ok(baseline) = std::fs::read_to_string(&path) {
-        check_regression(&baseline, &runs, &mut failures);
+        check_regression(&baseline, &runs, &mut gate);
     } else {
         println!("no committed baseline at {} — skipping", path.display());
     }
@@ -366,24 +366,13 @@ fn main() -> ExitCode {
     );
 
     let json = render_json(quick, &runs);
-    let _ = std::fs::create_dir_all(&dir);
-    if let Err(e) = std::fs::write(&path, &json) {
-        eprintln!("failed to write {}: {e}", path.display());
-    } else {
-        println!("\nwrote {}", path.display());
-    }
+    write_report("BENCH_slo", quick, "json", &json);
 
-    if failures.is_empty() {
-        println!("\nall gates passed: same-seed digest identical, all kills");
-        println!("recovered, load drained, recovery phases populated, within");
-        println!("{GATE_TOLERANCE_PCT}% of the committed baseline");
-        ExitCode::SUCCESS
-    } else {
-        for f in &failures {
-            eprintln!("GATE FAILED: {f}");
-        }
-        ExitCode::FAILURE
-    }
+    gate.finish(&format!(
+        "all gates passed: same-seed digest identical, all kills\n\
+         recovered, load drained, recovery phases populated, within\n\
+         {GATE_TOLERANCE_PCT}% of the committed baseline"
+    ))
 }
 
 /// Tolerance-band comparison of the primary run against the committed
@@ -392,7 +381,7 @@ fn main() -> ExitCode {
 fn check_regression(
     baseline: &str,
     runs: &[(SweepPoint, SloCampaignResult)],
-    failures: &mut Vec<String>,
+    gate: &mut CampaignGate,
 ) {
     let Some((pt, r)) = runs.iter().find(|(pt, _)| pt.primary) else {
         return;
@@ -416,7 +405,7 @@ fn check_regression(
             _ => total_goodput(r),
         };
         if now * 100 < base * (100 - pct) {
-            failures.push(format!(
+            gate.fail(format!(
                 "{key} regressed more than {pct}%: {now} vs baseline {base}"
             ));
         }
@@ -448,7 +437,7 @@ fn check_regression(
             continue;
         }
         if now * 100 > base * (100 + pct) {
-            failures.push(format!(
+            gate.fail(format!(
                 "{key} regressed more than {pct}%: {now}us vs baseline {base}us"
             ));
         }

@@ -35,7 +35,7 @@ use phoenix::campaign::{
     render_adapt_gauges, run_standby_campaign, run_standby_control, StandbyCampaignConfig,
     StandbyCampaignResult,
 };
-use phoenix_bench::{print_table, quick_mode, workspace_root, write_report, CampaignGate};
+use phoenix_bench::{print_table, quick_mode, write_report, CampaignGate};
 use phoenix_simcore::time::SimDuration;
 
 fn cfg(quick: bool, hot_standby: bool) -> StandbyCampaignConfig {
@@ -273,15 +273,7 @@ fn main() -> ExitCode {
         control.digest,
     );
     json.push('\n');
-    let suffix = if quick { "_quick" } else { "" };
-    let dir = workspace_root().join("results");
-    let _ = std::fs::create_dir_all(&dir);
-    let path = dir.join(format!("BENCH_standby{suffix}.json"));
-    if let Err(e) = std::fs::write(&path, &json) {
-        eprintln!("failed to write {}: {e}", path.display());
-    } else {
-        println!("\nwrote {}", path.display());
-    }
+    write_report("BENCH_standby", quick, "json", &json);
     let mut report = String::new();
     let _ = writeln!(report, "{}\n", standby.render());
     let _ = writeln!(report, "{}\n", cold.render());
@@ -295,7 +287,7 @@ fn main() -> ExitCode {
         control.spares_started,
         control.tail_polls,
     );
-    write_report("standby_mttr", quick, &report);
+    write_report("standby_mttr", quick, "txt", &report);
 
     gate.finish(
         "all gates passed: promotion beats restart+replay on both driver \

@@ -91,19 +91,45 @@ impl CampaignGate {
     }
 }
 
-/// Writes a campaign report to `results/<name><suffix>.txt` under the
+/// Writes a campaign report to `results/<name><suffix>.<ext>` under the
 /// workspace root (`_quick` suffix for scaled-down runs) and echoes the
 /// path, matching the convention every campaign binary follows.
-pub fn write_report(name: &str, quick: bool, body: &str) {
+pub fn write_report(name: &str, quick: bool, ext: &str, body: &str) {
     let suffix = if quick { "_quick" } else { "" };
     let dir = workspace_root().join("results");
     let _ = std::fs::create_dir_all(&dir);
-    let path = dir.join(format!("{name}{suffix}.txt"));
+    let path = dir.join(format!("{name}{suffix}.{ext}"));
     if let Err(e) = std::fs::write(&path, body) {
         eprintln!("failed to write {}: {e}", path.display());
     } else {
         println!("\nwrote {}", path.display());
     }
+}
+
+/// One table row per recovery phase the run's folded timeline recorded:
+/// phase, episodes, mean, p50, p95, max.
+pub fn phase_rows(os: &mut phoenix::Os) -> Vec<Vec<String>> {
+    let mut rows = Vec::new();
+    for phase in ["detect", "repair", "reintegrate", "replay", "total"] {
+        let name = format!("recovery.phase.{phase}");
+        let h = os.metrics_mut().histogram_mut(&name);
+        if h.count() == 0 {
+            continue;
+        }
+        let fmt = |d: Option<phoenix::simcore::time::SimDuration>| match d {
+            Some(d) => format!("{d}"),
+            None => "-".to_string(),
+        };
+        rows.push(vec![
+            phase.to_string(),
+            format!("{}", h.count()),
+            fmt(h.mean_duration()),
+            fmt(h.quantile_duration(0.5)),
+            fmt(h.quantile_duration(0.95)),
+            fmt(h.max_duration()),
+        ]);
+    }
+    rows
 }
 
 /// Workspace root (assumes the binary runs via `cargo run` from anywhere

@@ -18,15 +18,232 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use phoenix_fault::chaos::ChaosPlan;
+use phoenix_fault::NameFilter;
+use phoenix_hw::chardev::{AudioDac, Printer};
 use phoenix_hw::dp8390::{Dp8390, Dp8390Config};
 use phoenix_hw::rtl8139::Rtl8139Config;
 use phoenix_hw::WireConfig;
+use phoenix_kernel::types::Endpoint;
+use phoenix_servers::fsfmt::{FileContent, FileSpec};
 use phoenix_servers::peer::PeerConfig;
-use phoenix_servers::policy::reason;
+use phoenix_servers::policy::{reason, AdaptParam, PolicyScript};
+use phoenix_servers::ServerFault;
+use phoenix_simcore::digest::Md5;
+use phoenix_simcore::obs::{phase, Timeline};
 use phoenix_simcore::time::SimDuration;
 
-use crate::apps::{UdpPing, UdpStatus};
-use crate::os::{hwmap, names, NicKind, Os};
+use crate::apps::{
+    CkptLpd, CkptLpdStatus, CkptMp3Player, CkptMp3Status, Dd, DdLoop, DdLoopStatus, DdStatus, Lpd,
+    LpdLoop, LpdLoopStatus, LpdStatus, Mp3Player, Mp3Status, UdpPing, UdpStatus, Wget, WgetStatus,
+};
+use crate::loadgen::{InetLoadConfig, InetLoadGen, LoadStatus, VfsJobMix, VfsLoadConfig};
+use crate::os::{hwmap, names, NicKind, Os, OsBuilder};
+
+fn ms(n: u64) -> SimDuration {
+    SimDuration::from_millis(n)
+}
+
+// ------------------------------------------------------------------------
+// Steps the campaign families share: wait, kill, watch and seal.
+
+/// Runs `os` in `step` slices until `pred` holds, checking before the
+/// first slice and after each one, for at most `max_steps` slices.
+/// Returns whether `pred` held.
+fn poll(
+    os: &mut Os,
+    step: SimDuration,
+    max_steps: u64,
+    mut pred: impl FnMut(&mut Os) -> bool,
+) -> bool {
+    for _ in 0..max_steps {
+        if pred(os) {
+            return true;
+        }
+        os.run_for(step);
+    }
+    pred(os)
+}
+
+/// Waits up to `max_steps` slices of `step` for `target` to come back as
+/// an incarnation other than `before`.
+fn await_fresh(
+    os: &mut Os,
+    target: &str,
+    before: Endpoint,
+    step: SimDuration,
+    max_steps: u64,
+) -> bool {
+    poll(os, step, max_steps, |os| {
+        os.endpoint(target).is_some_and(|ep| ep != before)
+    })
+}
+
+/// §7.1's crash-simulation step: waits up to `max_steps` 10 ms slices for
+/// `target` to be up, kills it, waits as long again for a fresh
+/// incarnation, then lets the machine run for `settle`. A target that
+/// never came up is not killed and is recorded as unrecovered.
+fn kill_and_await(
+    os: &mut Os,
+    target: &str,
+    max_steps: u64,
+    settle: SimDuration,
+) -> ChaosKillRecord {
+    let mut record = ChaosKillRecord {
+        target: target.to_string(),
+        recovered: false,
+        mttr: SimDuration::ZERO,
+    };
+    poll(os, ms(10), max_steps, |os| os.is_up(target));
+    let Some(before) = os.endpoint(target) else {
+        return record;
+    };
+    let t0 = os.now();
+    os.kill_by_user(target);
+    record.recovered = await_fresh(os, target, before, ms(10), max_steps);
+    record.mttr = os.now().since(t0);
+    os.run_for(settle);
+    record
+}
+
+/// How one injection resolved.
+#[derive(PartialEq)]
+enum Outcome {
+    /// A detector fired: RS replaced the incarnation.
+    Detected,
+    /// The workload moved on and no detector fired.
+    Benign,
+    /// The workload froze and no detector fired within the window.
+    FailSilent,
+}
+
+/// Watches `target` (incarnation `before`) after an injection, in `step`
+/// slices for up to `window`. Once `settled` reports that the workload
+/// moved on, a still-accumulating complaint quorum gets `grace` to land
+/// before the mutation is called benign.
+fn watch(
+    os: &mut Os,
+    target: &str,
+    before: Endpoint,
+    step: SimDuration,
+    window: SimDuration,
+    grace: SimDuration,
+    mut settled: impl FnMut() -> bool,
+) -> Outcome {
+    let replaced = |os: &Os| os.endpoint(target) != Some(before);
+    let steps = window.as_micros().div_ceil(step.as_micros());
+    if !poll(os, step, steps, |os| replaced(os) || settled()) {
+        return Outcome::FailSilent;
+    }
+    if !replaced(os) {
+        os.run_for(grace);
+        if !replaced(os) {
+            return Outcome::Benign;
+        }
+    }
+    Outcome::Detected
+}
+
+/// Adds a disk holding one synthetic file `name` of `size` bytes, plus
+/// 256 spare blocks.
+fn stream_disk(builder: OsBuilder, seed: u64, name: &str, size: u64) -> OsBuilder {
+    let files = vec![FileSpec {
+        name: name.to_string(),
+        content: FileContent::Synthetic { size },
+    }];
+    builder.with_disk(size / 512 + 256, seed ^ 0xd15c, files)
+}
+
+/// Background datagram traffic that keeps the network driver's hot paths
+/// executing.
+fn udp_traffic(os: &mut Os, period: SimDuration) -> Rc<RefCell<UdpStatus>> {
+    let status = Rc::new(RefCell::new(UdpStatus::default()));
+    let inet = os.endpoint(names::INET).expect("inet up after boot");
+    os.spawn_app(
+        "udp-traffic",
+        Box::new(UdpPing::new(inet, 2_000_000, period, status.clone())),
+    );
+    status
+}
+
+/// Trace events the ring evicted before the campaign folded it. Non-zero
+/// means the folded recovery timeline may be missing episodes or phases.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct TraceLoss {
+    /// Events lost in total.
+    pub total: u64,
+    /// Per-event-kind breakdown of [`TraceLoss::total`].
+    pub by_kind: Vec<(String, u64)>,
+}
+
+impl TraceLoss {
+    /// The warning a campaign summary appends, e.g. `; WARNING: 515 trace
+    /// events lost (request 512, defect 3) (timeline may be incomplete)`.
+    /// Empty when nothing was lost.
+    pub fn warning(&self) -> String {
+        if self.total == 0 {
+            return String::new();
+        }
+        let parts: Vec<String> = self
+            .by_kind
+            .iter()
+            .map(|(k, n)| format!("{k} {n}"))
+            .collect();
+        format!(
+            "; WARNING: {} trace events lost ({}) (timeline may be incomplete)",
+            self.total,
+            parts.join(", "),
+        )
+    }
+}
+
+/// Fossilizes the trace ring's loss accounting into the digest-covered
+/// registry: the total plus one `trace.dropped.{kind}` gauge per evicted
+/// event kind, so high-volume request events can't silently evict
+/// recovery events without the digest noticing.
+pub fn fossilize_trace_loss(os: &mut Os) -> TraceLoss {
+    let loss = TraceLoss {
+        total: os.trace_dropped(),
+        by_kind: os.trace_dropped_by_kind(),
+    };
+    os.metrics_mut().add("trace.dropped", loss.total);
+    for (kind, n) in &loss.by_kind {
+        os.metrics_mut().add(&format!("trace.dropped.{kind}"), *n);
+    }
+    loss
+}
+
+/// MD5 over the sorted counter dump: the determinism fingerprint of a run.
+pub fn metrics_digest(os: &Os) -> String {
+    let mut counters: Vec<(String, u64)> = os
+        .metrics()
+        .counters()
+        .map(|(k, v)| (k.to_string(), v))
+        .collect();
+    counters.sort();
+    let mut md5 = Md5::new();
+    for (k, v) in counters {
+        md5.update(format!("{k}={v}\n").as_bytes());
+    }
+    md5.finish_hex()
+}
+
+/// Ends a campaign: records the caller's folded `timeline` as per-phase
+/// metrics, fossilizes the trace loss, and returns the loss together with
+/// the run's digest.
+fn seal(os: &mut Os, timeline: &Timeline) -> (TraceLoss, String) {
+    timeline.record_into(os.metrics_mut());
+    let loss = fossilize_trace_loss(os);
+    (loss, metrics_digest(os))
+}
+
+/// `num / den`, or 1 when there was nothing to count.
+fn ratio(num: u64, den: u64) -> f64 {
+    if den == 0 {
+        return 1.0;
+    }
+    num as f64 / den as f64
+}
 
 /// Campaign parameters.
 #[derive(Debug, Clone)]
@@ -200,19 +417,8 @@ pub fn run_campaign(cfg: &CampaignConfig) -> (CampaignResult, Rc<RefCell<UdpStat
         .heartbeat(cfg.heartbeat_period, cfg.heartbeat_misses)
         .boot();
 
-    // Continuous background traffic so the driver's hot paths execute.
-    let status = Rc::new(RefCell::new(UdpStatus::default()));
-    let inet = os.endpoint(names::INET).expect("inet up after boot");
-    os.spawn_app(
-        "udp-traffic",
-        Box::new(UdpPing::new(
-            inet,
-            2_000_000,
-            cfg.traffic_period,
-            status.clone(),
-        )),
-    );
-    os.run_for(SimDuration::from_millis(50));
+    let status = udp_traffic(&mut os, cfg.traffic_period);
+    os.run_for(ms(50));
 
     let mut result = CampaignResult::default();
     let mut since_last = 0u64;
@@ -222,19 +428,14 @@ pub fn run_campaign(cfg: &CampaignConfig) -> (CampaignResult, Rc<RefCell<UdpStat
     while result.injections < cfg.injections {
         let Some(ep_before) = os.endpoint(driver) else {
             // Driver restarting; give it time.
-            os.run_for(SimDuration::from_millis(100));
+            os.run_for(ms(100));
             down_ticks += 1;
             if down_ticks >= 50 {
                 // The driver is not coming back on its own: a wedged card
                 // turns every restart into an init panic until the storm
                 // ladder gives up. Model the §5.1-input-3 user: apply the
                 // out-of-band BIOS reset and ask RS to try again.
-                if os
-                    .device_mut::<Dp8390>(hwmap::NIC)
-                    .is_some_and(|d| d.is_wedged())
-                {
-                    os.hard_reset_device(hwmap::NIC);
-                }
+                reset_if_wedged(&mut os);
                 os.service_restart(driver);
                 down_ticks = 0;
             }
@@ -253,18 +454,13 @@ pub fn run_campaign(cfg: &CampaignConfig) -> (CampaignResult, Rc<RefCell<UdpStat
         } else if os.now().since(last_progress) > SimDuration::from_secs(2) {
             result.silent_restarts += 1;
             os.service_restart(driver);
-            for _ in 0..100 {
-                os.run_for(SimDuration::from_millis(100));
-                if os.endpoint(driver).is_some_and(|e| e != ep_before) {
-                    break;
-                }
-            }
+            await_fresh(&mut os, driver, ep_before, ms(100), 100);
             last_progress = os.now();
             continue;
         }
         let counts_before = defect_counts(&os);
         if os.inject_fault(driver).is_none() {
-            os.run_for(SimDuration::from_millis(100));
+            os.run_for(ms(100));
             continue;
         }
         result.injections += 1;
@@ -277,37 +473,14 @@ pub fn run_campaign(cfg: &CampaignConfig) -> (CampaignResult, Rc<RefCell<UdpStat
             continue;
         }
         // Wait for recovery (§7.2 reports 100% on the emulator).
-        let mut recovered = false;
+        let mut recovered = await_fresh(&mut os, driver, ep_before, ms(100), 100);
         let mut needed_hard_reset = false;
-        for _ in 0..100 {
-            if let Some(ep) = os.endpoint(driver) {
-                if ep != ep_before {
-                    recovered = true;
-                    break;
-                }
-            }
-            os.run_for(SimDuration::from_millis(100));
-        }
-        if !recovered {
-            // The card may be wedged: restarted drivers keep panicking at
-            // init. Apply the out-of-band BIOS reset and try once more.
-            let wedged = os
-                .device_mut::<Dp8390>(hwmap::NIC)
-                .is_some_and(|d| d.is_wedged());
-            if wedged {
-                os.hard_reset_device(hwmap::NIC);
-                needed_hard_reset = true;
-                os.service_restart(driver);
-                for _ in 0..100 {
-                    if let Some(ep) = os.endpoint(driver) {
-                        if ep != ep_before {
-                            recovered = true;
-                            break;
-                        }
-                    }
-                    os.run_for(SimDuration::from_millis(100));
-                }
-            }
+        // The card may be wedged: restarted drivers keep panicking at
+        // init. Apply the out-of-band BIOS reset and try once more.
+        if !recovered && reset_if_wedged(&mut os) {
+            needed_hard_reset = true;
+            os.service_restart(driver);
+            recovered = await_fresh(&mut os, driver, ep_before, ms(100), 100);
         }
         let defect = classify(counts_before, defect_counts(&os));
         result.crashes.push(CrashRecord {
@@ -318,17 +491,25 @@ pub fn run_campaign(cfg: &CampaignConfig) -> (CampaignResult, Rc<RefCell<UdpStat
         });
         since_last = 0;
         // Let traffic re-establish before the next injection.
-        os.run_for(SimDuration::from_millis(50));
+        os.run_for(ms(50));
     }
     (result, status)
 }
 
+/// Applies the out-of-band BIOS reset if the NIC is wedged; returns
+/// whether it was.
+fn reset_if_wedged(os: &mut Os) -> bool {
+    let wedged = os
+        .device_mut::<Dp8390>(hwmap::NIC)
+        .is_some_and(|d| d.is_wedged());
+    if wedged {
+        os.hard_reset_device(hwmap::NIC);
+    }
+    wedged
+}
+
 // ------------------------------------------------------------------------
 // Chaos campaign: recovery under a hostile IPC fabric.
-
-use phoenix_fault::chaos::ChaosPlan;
-use phoenix_fault::NameFilter;
-use phoenix_simcore::digest::Md5;
 
 /// Parameters of the chaos-resilience campaign: repeated driver kills
 /// while the IPC fabric drops, delays, duplicates and corrupts messages.
@@ -398,11 +579,8 @@ pub struct ChaosCampaignResult {
     /// Extra defects RS recovered beyond the scripted kills (heartbeat
     /// misses from stalls, corrupted-request panics, ...).
     pub total_recoveries: u64,
-    /// Trace events lost to ring eviction. Non-zero means the folded
-    /// recovery timeline may be missing episodes or phases.
-    pub trace_dropped: u64,
-    /// Per-event-kind breakdown of [`ChaosCampaignResult::trace_dropped`].
-    pub trace_dropped_by_kind: Vec<(String, u64)>,
+    /// Trace events lost to ring eviction.
+    pub trace_loss: TraceLoss,
     /// MD5 over the canonical metrics dump — byte-identical across two
     /// same-seed runs (determinism regression handle).
     pub digest: String,
@@ -411,10 +589,7 @@ pub struct ChaosCampaignResult {
 impl ChaosCampaignResult {
     /// Fraction of kills that recovered, in [0, 1].
     pub fn recovery_rate(&self) -> f64 {
-        if self.kills.is_empty() {
-            return 1.0;
-        }
-        self.kills.iter().filter(|k| k.recovered).count() as f64 / self.kills.len() as f64
+        recovery_rate(&self.kills)
     }
 
     /// Mean time to repair over the recovered kills.
@@ -429,10 +604,10 @@ impl ChaosCampaignResult {
 
     /// Renders the §7.2-style summary line.
     pub fn render(&self) -> String {
-        let mut line = format!(
+        format!(
             "chaos intensity {:.2}: {} kills -> recovery {:.0}%, mean MTTR {}, \
              {} mid-recovery kills, {} storms, {} give-ups; fabric dropped {} \
-             delayed {} duplicated {} corrupted {}; digest {}",
+             delayed {} duplicated {} corrupted {}; digest {}{}",
             self.intensity,
             self.kills.len(),
             self.recovery_rate() * 100.0,
@@ -445,173 +620,80 @@ impl ChaosCampaignResult {
             self.duplicated,
             self.corrupted,
             self.digest,
-        );
-        if self.trace_dropped > 0 {
-            line.push_str(&format!(
-                "; WARNING: {} trace events lost{} (timeline may be incomplete)",
-                self.trace_dropped,
-                render_trace_loss(&self.trace_dropped_by_kind),
-            ));
-        }
-        line
+            self.trace_loss.warning(),
+        )
     }
 }
 
-/// Fossilizes the trace ring's loss accounting into the digest-covered
-/// registry: the total plus one `trace.dropped.{kind}` gauge per evicted
-/// event kind, so high-volume request events can't silently evict
-/// recovery events without the digest noticing. Returns the total and
-/// the per-kind breakdown for the campaign's warning line.
-pub fn fossilize_trace_loss(os: &mut Os) -> (u64, Vec<(String, u64)>) {
-    let dropped = os.trace_dropped();
-    let by_kind = os.trace_dropped_by_kind();
-    os.metrics_mut().add("trace.dropped", dropped);
-    for (kind, n) in &by_kind {
-        os.metrics_mut().add(&format!("trace.dropped.{kind}"), *n);
-    }
-    (dropped, by_kind)
-}
-
-/// Renders the per-kind eviction breakdown for a campaign warning line,
-/// e.g. ` (request 512, defect 3)`. Empty when nothing was lost.
-fn render_trace_loss(by_kind: &[(String, u64)]) -> String {
-    if by_kind.is_empty() {
-        return String::new();
-    }
-    let parts: Vec<String> = by_kind.iter().map(|(k, n)| format!("{k} {n}")).collect();
-    format!(" ({})", parts.join(", "))
-}
-
-/// MD5 over the sorted counter dump: the determinism fingerprint of a run.
-pub fn metrics_digest(os: &Os) -> String {
-    let mut counters: Vec<(String, u64)> = os
-        .metrics()
-        .counters()
-        .map(|(k, v)| (k.to_string(), v))
-        .collect();
-    counters.sort();
-    let mut md5 = Md5::new();
-    for (k, v) in counters {
-        md5.update(format!("{k}={v}\n").as_bytes());
-    }
-    md5.finish_hex()
+/// Fraction of `kills` that recovered, in [0, 1].
+fn recovery_rate(kills: &[ChaosKillRecord]) -> f64 {
+    ratio(
+        kills.iter().filter(|k| k.recovered).count() as u64,
+        kills.len() as u64,
+    )
 }
 
 /// Runs the chaos campaign: boots a machine with the RTL8139 network stack
 /// and a SATA disk, installs the driver-traffic chaos preset, then
 /// repeatedly kills the network and block drivers (§7.1's crash-simulation
 /// script) while the fabric misbehaves, measuring recovery rate and MTTR.
-pub fn run_chaos_campaign(cfg: &ChaosCampaignConfig) -> ChaosCampaignResult {
-    run_chaos_campaign_traced(cfg).0
-}
-
-/// Like [`run_chaos_campaign`], but also hands back the booted [`Os`] so
-/// the caller can export the trace and fold the recovery timeline of the
-/// exact run the summary describes.
-pub fn run_chaos_campaign_traced(cfg: &ChaosCampaignConfig) -> (ChaosCampaignResult, Os) {
+/// Hands back the booted [`Os`] so the caller can export the trace and
+/// fold the recovery timeline of the exact run the summary describes.
+pub fn run_chaos_campaign(cfg: &ChaosCampaignConfig) -> (ChaosCampaignResult, Os) {
     let eth = names::ETH_RTL8139;
     let blk = names::BLK_SATA;
     let mut plan = ChaosPlan::driver_traffic(cfg.intensity);
     if cfg.mid_recovery_kill {
         // Strike the first respawned network-driver incarnation 2 ms into
         // its life — recovery must survive a crash *during* recovery.
-        plan = plan.kill_during_recovery(NameFilter::exact(eth), 0, 1, SimDuration::from_millis(2));
+        plan = plan.kill_during_recovery(NameFilter::exact(eth), 0, 1, ms(2));
     }
     let mut os = Os::builder()
         .seed(cfg.seed)
         .with_network(NicKind::Rtl8139)
         .with_disk(4096, cfg.seed ^ 0x5eed, vec![])
-        .heartbeat(SimDuration::from_millis(500), 3)
+        .heartbeat(ms(500), 3)
         .chaos(plan)
         .boot();
 
     // Background traffic keeps the network driver's request path hot, so
     // dropped and corrupted messages actually have something to hit.
-    let status = Rc::new(RefCell::new(UdpStatus::default()));
-    let inet = os.endpoint(names::INET).expect("inet up after boot");
-    os.spawn_app(
-        "udp-traffic",
-        Box::new(UdpPing::new(
-            inet,
-            2_000_000,
-            cfg.traffic_period,
-            status.clone(),
-        )),
-    );
-    os.run_for(SimDuration::from_millis(100));
+    udp_traffic(&mut os, cfg.traffic_period);
+    os.run_for(ms(100));
 
-    let mut result = ChaosCampaignResult {
-        intensity: cfg.intensity,
-        ..ChaosCampaignResult::default()
-    };
-    for _ in 0..cfg.kills_per_target {
-        for target in [eth, blk] {
-            // Wait for the target to be up (it may still be inside a
-            // chaos-lengthened recovery from the previous round).
-            let mut guard = 0;
-            while !os.is_up(target) && guard < 3000 {
-                os.run_for(SimDuration::from_millis(10));
-                guard += 1;
-            }
-            let Some(before) = os.endpoint(target) else {
-                result.kills.push(ChaosKillRecord {
-                    target: target.to_string(),
-                    recovered: false,
-                    mttr: SimDuration::ZERO,
-                });
-                continue;
-            };
-            let t0 = os.now();
-            os.kill_by_user(target);
-            let mut recovered = false;
-            let mut guard = 0;
-            while guard < 3000 {
-                os.run_for(SimDuration::from_millis(10));
-                guard += 1;
-                if os.endpoint(target).is_some_and(|ep| ep != before) {
-                    recovered = true;
-                    break;
-                }
-            }
-            result.kills.push(ChaosKillRecord {
-                target: target.to_string(),
-                recovered,
-                mttr: os.now().since(t0),
-            });
-            os.run_for(cfg.kill_interval);
-        }
-    }
+    // A target may still be inside a chaos-lengthened recovery from the
+    // previous round; `kill_and_await` waits for it to be up first.
+    let kills = (0..cfg.kills_per_target)
+        .flat_map(|_| [eth, blk])
+        .map(|target| kill_and_await(&mut os, target, 3000, cfg.kill_interval))
+        .collect();
     // Drain in-flight recoveries before reading the counters.
     os.run_for(SimDuration::from_secs(2));
     // Fold the trace into per-episode phase timings and fossilize them —
     // and the ring's loss counter — as metrics, so phase MTTRs land in the
     // same digest-covered registry as everything else.
     let timeline = os.timeline();
-    timeline.record_into(os.metrics_mut());
-    let (trace_dropped, trace_by_kind) = fossilize_trace_loss(&mut os);
+    let (trace_loss, digest) = seal(&mut os, &timeline);
     let m = os.metrics();
-    result.dropped = m.counter("chaos.dropped");
-    result.delayed = m.counter("chaos.delayed");
-    result.duplicated = m.counter("chaos.duplicated");
-    result.corrupted = m.counter("chaos.corrupted");
-    result.recovery_kills = m.counter("chaos.kills");
-    result.storms = m.counter("rs.storms");
-    result.gave_up = m.counter("rs.gave_up");
-    result.total_recoveries = m.counter("rs.recoveries");
-    result.trace_dropped = trace_dropped;
-    result.trace_dropped_by_kind = trace_by_kind;
-    result.digest = metrics_digest(&os);
+    let result = ChaosCampaignResult {
+        intensity: cfg.intensity,
+        kills,
+        dropped: m.counter("chaos.dropped"),
+        delayed: m.counter("chaos.delayed"),
+        duplicated: m.counter("chaos.duplicated"),
+        corrupted: m.counter("chaos.corrupted"),
+        recovery_kills: m.counter("chaos.kills"),
+        storms: m.counter("rs.storms"),
+        gave_up: m.counter("rs.gave_up"),
+        total_recoveries: m.counter("rs.recoveries"),
+        trace_loss,
+        digest,
+    };
     (result, os)
 }
 
 // ------------------------------------------------------------------------
 // Checkpoint campaign: char-driver kills with and without phoenix-ckpt.
-
-use phoenix_hw::chardev::{AudioDac, Printer};
-
-use crate::apps::{
-    CkptLpd, CkptLpdStatus, CkptMp3Player, CkptMp3Status, Lpd, LpdStatus, Mp3Player, Mp3Status,
-};
 
 /// Parameters of the checkpoint campaign: repeated kills of the stream
 /// char drivers (printer, audio) while a print job and an audio stream
@@ -686,11 +768,8 @@ impl CkptCampaignResult {
     /// Fraction of kills fully transparent to the applications, in
     /// [0, 1]: recovery completed and no error surfaced.
     pub fn transparency_rate(&self) -> f64 {
-        if self.kills == 0 {
-            return 1.0;
-        }
         let opaque = self.app_visible_errors.min(self.kills) + (self.kills - self.recovered_kills);
-        (self.kills - opaque.min(self.kills)) as f64 / self.kills as f64
+        ratio(self.kills - opaque.min(self.kills), self.kills)
     }
 
     /// Extra DS messages (saves + restores) per served char request —
@@ -738,174 +817,215 @@ pub fn ckpt_print_job(seed: u64, len: usize) -> Vec<u8> {
         .collect()
 }
 
+/// Bytes per audio block: 25 ms of CD stereo audio.
+const AUDIO_BLOCK_BYTES: usize = 4410;
+
+/// The stream drivers, indexed by [`CharStreams::class`].
+const STREAM_DRIVERS: [&str; 2] = [names::CHR_PRINTER, names::CHR_AUDIO];
+
+/// The char-stream workload of the checkpoint and standby campaigns: one
+/// print job through the printer driver and one paced audio stream
+/// through the audio driver, judged at the end by the device oracles.
+struct CharStreams {
+    job: Vec<u8>,
+    blocks_total: u64,
+    apps: StreamApps,
+}
+
+/// The two stream apps: checkpointed (log and replay) or the paper's
+/// §6.3 error-push baseline.
+enum StreamApps {
+    Ckpt(Rc<RefCell<CkptLpdStatus>>, Rc<RefCell<CkptMp3Status>>),
+    Legacy(Rc<RefCell<LpdStatus>>, Rc<RefCell<Mp3Status>>),
+}
+
+/// What a drained char-stream run delivered.
+struct StreamVerdict {
+    printed_bytes: u64,
+    printer_byte_exact: bool,
+    samples_played: u64,
+    app_visible_errors: u64,
+    replays: u64,
+    workloads_done: bool,
+}
+
+impl CharStreams {
+    /// Spawns the print job `job` and an audio stream of `blocks_total`
+    /// blocks.
+    fn spawn(os: &mut Os, job: Vec<u8>, blocks_total: u64, checkpointed: bool) -> Self {
+        let vfs = os.endpoint(names::VFS).expect("vfs up after boot");
+        let period = ms(25);
+        let apps = if checkpointed {
+            let lpd = Rc::new(RefCell::new(CkptLpdStatus::default()));
+            let mp3 = Rc::new(RefCell::new(CkptMp3Status::default()));
+            os.spawn_app(
+                "ckpt-lpd",
+                Box::new(CkptLpd::new(vfs, job.clone(), lpd.clone())),
+            );
+            os.spawn_app(
+                "ckpt-mp3",
+                Box::new(CkptMp3Player::new(
+                    vfs,
+                    blocks_total,
+                    AUDIO_BLOCK_BYTES,
+                    period,
+                    mp3.clone(),
+                )),
+            );
+            StreamApps::Ckpt(lpd, mp3)
+        } else {
+            let lpd = Rc::new(RefCell::new(LpdStatus::default()));
+            let mp3 = Rc::new(RefCell::new(Mp3Status::default()));
+            os.spawn_app("lpd", Box::new(Lpd::new(vfs, job.clone(), lpd.clone())));
+            os.spawn_app(
+                "mp3",
+                Box::new(Mp3Player::new(
+                    vfs,
+                    blocks_total,
+                    AUDIO_BLOCK_BYTES,
+                    period,
+                    mp3.clone(),
+                )),
+            );
+            StreamApps::Legacy(lpd, mp3)
+        };
+        CharStreams {
+            job,
+            blocks_total,
+            apps,
+        }
+    }
+
+    fn expected_samples(&self) -> u64 {
+        self.blocks_total * AUDIO_BLOCK_BYTES as u64
+    }
+
+    /// Progress odometer and completion of one stream (see
+    /// [`STREAM_DRIVERS`]): driver-acked bytes for the checkpointed apps, accepted bytes or
+    /// played blocks for the baseline.
+    fn class(&self, class: usize) -> (u64, bool) {
+        match (&self.apps, class) {
+            (StreamApps::Ckpt(lpd, _), 0) => (lpd.borrow().acked, lpd.borrow().done),
+            (StreamApps::Ckpt(_, mp3), _) => (mp3.borrow().acked, mp3.borrow().done),
+            (StreamApps::Legacy(lpd, _), 0) => (lpd.borrow().accepted, lpd.borrow().done),
+            (StreamApps::Legacy(_, mp3), _) => (mp3.borrow().blocks_played, mp3.borrow().done),
+        }
+    }
+
+    fn done(&self) -> bool {
+        self.class(0).1 && self.class(1).1
+    }
+
+    /// Both apps finished and the DAC played every block (it still has
+    /// queued blocks to play after the last ack).
+    fn played_out(&self, os: &mut Os) -> bool {
+        let played = os
+            .device_mut::<AudioDac>(hwmap::AUDIO)
+            .map_or(0, |d| d.samples_played());
+        self.done() && played >= self.expected_samples()
+    }
+
+    /// The printer committed the whole job to paper (an app's `done` means
+    /// acked by the driver; the printer FIFO may still be draining).
+    fn printed_out(&self, os: &mut Os) -> bool {
+        let printed = os
+            .device_mut::<Printer>(hwmap::PRINTER)
+            .map_or(0, |p| p.printed().len());
+        printed >= self.job.len()
+    }
+
+    /// Reads the device oracles and the apps' error accounting.
+    fn judge(&self, os: &mut Os) -> StreamVerdict {
+        let (printed_bytes, printer_byte_exact) = os
+            .device_mut::<Printer>(hwmap::PRINTER)
+            .map_or((0, false), |p| {
+                (p.printed().len() as u64, p.printed() == &self.job[..])
+            });
+        let samples_played = os
+            .device_mut::<AudioDac>(hwmap::AUDIO)
+            .map_or(0, |d| d.samples_played());
+        let (app_visible_errors, replays) = match &self.apps {
+            StreamApps::Ckpt(lpd, mp3) => {
+                let (lpd, mp3) = (lpd.borrow(), mp3.borrow());
+                (lpd.app_errors + mp3.app_errors, lpd.replays + mp3.replays)
+            }
+            StreamApps::Legacy(lpd, mp3) => {
+                let (lpd, mp3) = (lpd.borrow(), mp3.borrow());
+                (lpd.job_restarts + lpd.fatal + mp3.blocks_dropped, 0)
+            }
+        };
+        StreamVerdict {
+            printed_bytes,
+            printer_byte_exact,
+            samples_played,
+            app_visible_errors,
+            replays,
+            workloads_done: self.done(),
+        }
+    }
+}
+
 /// Runs the checkpoint campaign: boots the char-device machine (with or
 /// without `phoenix-ckpt`), starts a print job and a paced audio stream,
 /// then kills the printer and audio drivers alternately while both are in
 /// flight. Returns the result plus the booted [`Os`] for trace/timeline
 /// inspection.
 pub fn run_ckpt_campaign(cfg: &CkptCampaignConfig) -> (CkptCampaignResult, Os) {
-    let mut builder = Os::builder()
-        .seed(cfg.seed)
-        .heartbeat(SimDuration::from_millis(500), 3);
+    let mut builder = Os::builder().seed(cfg.seed).heartbeat(ms(500), 3);
     builder = if cfg.checkpointing {
         builder.with_checkpointing()
     } else {
         builder.with_chardevs()
     };
     let mut os = builder.boot();
-    let vfs = os.endpoint(names::VFS).expect("vfs up after boot");
 
     // Workloads sized to stay in flight across the whole kill schedule.
     let job = ckpt_print_job(cfg.seed, (cfg.faults as usize).max(4) * 3072);
-    let blocks_total = cfg.faults.max(4) * 6;
-    let block_bytes = 4410usize; // 25 ms of CD stereo audio
-    let block_period = SimDuration::from_millis(25);
+    let streams = CharStreams::spawn(&mut os, job, cfg.faults.max(4) * 6, cfg.checkpointing);
+    os.run_for(ms(100));
 
-    let ckpt_lpd = Rc::new(RefCell::new(CkptLpdStatus::default()));
-    let ckpt_mp3 = Rc::new(RefCell::new(CkptMp3Status::default()));
-    let legacy_lpd = Rc::new(RefCell::new(LpdStatus::default()));
-    let legacy_mp3 = Rc::new(RefCell::new(Mp3Status::default()));
-    if cfg.checkpointing {
-        os.spawn_app(
-            "ckpt-lpd",
-            Box::new(CkptLpd::new(vfs, job.clone(), ckpt_lpd.clone())),
-        );
-        os.spawn_app(
-            "ckpt-mp3",
-            Box::new(CkptMp3Player::new(
-                vfs,
-                blocks_total,
-                block_bytes,
-                block_period,
-                ckpt_mp3.clone(),
-            )),
-        );
-    } else {
-        os.spawn_app(
-            "lpd",
-            Box::new(Lpd::new(vfs, job.clone(), legacy_lpd.clone())),
-        );
-        os.spawn_app(
-            "mp3",
-            Box::new(Mp3Player::new(
-                vfs,
-                blocks_total,
-                block_bytes,
-                block_period,
-                legacy_mp3.clone(),
-            )),
-        );
-    }
-    os.run_for(SimDuration::from_millis(100));
-
-    let mut result = CkptCampaignResult {
-        checkpointing: cfg.checkpointing,
-        ..CkptCampaignResult::default()
-    };
+    let mut recovered_kills = 0;
     for i in 0..cfg.faults {
-        let target = if i % 2 == 0 {
-            names::CHR_PRINTER
-        } else {
-            names::CHR_AUDIO
-        };
-        let mut guard = 0;
-        while !os.is_up(target) && guard < 600 {
-            os.run_for(SimDuration::from_millis(10));
-            guard += 1;
+        let target = STREAM_DRIVERS[(i % 2) as usize];
+        if kill_and_await(&mut os, target, 600, cfg.kill_interval).recovered {
+            recovered_kills += 1;
         }
-        let Some(before) = os.endpoint(target) else {
-            result.kills += 1;
-            continue;
-        };
-        os.kill_by_user(target);
-        result.kills += 1;
-        let mut guard = 0;
-        while guard < 600 {
-            os.run_for(SimDuration::from_millis(10));
-            guard += 1;
-            if os.endpoint(target).is_some_and(|ep| ep != before) {
-                result.recovered_kills += 1;
-                break;
-            }
-        }
-        os.run_for(cfg.kill_interval);
     }
 
-    // Drain: let both workloads run to completion (the DAC still has
-    // queued blocks to play after the last ack).
-    let mut guard = 0;
-    loop {
-        let done = if cfg.checkpointing {
-            ckpt_lpd.borrow().done && ckpt_mp3.borrow().done
-        } else {
-            legacy_lpd.borrow().done && legacy_mp3.borrow().done
-        };
-        let played = os
-            .device_mut::<AudioDac>(hwmap::AUDIO)
-            .map_or(0, |d| d.samples_played());
-        if (done && played >= blocks_total * block_bytes as u64) || guard >= 1200 {
-            break;
-        }
-        os.run_for(SimDuration::from_millis(50));
-        guard += 1;
-    }
-    // The apps' `done` means acked by the driver; the printer FIFO may
-    // still be draining to paper. Let the hardware catch up.
-    let mut guard = 0;
-    while guard < 400 {
-        let printed = os
-            .device_mut::<Printer>(hwmap::PRINTER)
-            .map_or(0, |p| p.printed().len());
-        if printed >= job.len() {
-            break;
-        }
-        os.run_for(SimDuration::from_millis(50));
-        guard += 1;
-    }
+    // Drain: let both workloads run to completion, then the printer FIFO.
+    poll(&mut os, ms(50), 1200, |os| streams.played_out(os));
+    poll(&mut os, ms(50), 400, |os| streams.printed_out(os));
+    let v = streams.judge(&mut os);
 
-    result.expected_printed = job.len() as u64;
-    result.expected_samples = blocks_total * block_bytes as u64;
-    if let Some(printer) = os.device_mut::<Printer>(hwmap::PRINTER) {
-        result.printed_bytes = printer.printed().len() as u64;
-        result.printer_byte_exact = printer.printed() == &job[..];
-    }
-    if let Some(dac) = os.device_mut::<AudioDac>(hwmap::AUDIO) {
-        result.samples_played = dac.samples_played();
-    }
-    if cfg.checkpointing {
-        let lpd = ckpt_lpd.borrow();
-        let mp3 = ckpt_mp3.borrow();
-        result.app_visible_errors = lpd.app_errors + mp3.app_errors;
-        result.replays = lpd.replays + mp3.replays;
-        result.workloads_done = lpd.done && mp3.done;
-    } else {
-        let lpd = legacy_lpd.borrow();
-        let mp3 = legacy_mp3.borrow();
-        result.app_visible_errors = lpd.job_restarts + lpd.fatal + mp3.blocks_dropped;
-        result.workloads_done = lpd.done && mp3.done;
-    }
-
-    // Fossilize the folded timeline (including the new replay phase) and
-    // the trace-loss counter into the digest-covered registry.
+    // Fossilize the folded timeline (including the replay phase) and the
+    // trace-loss counter into the digest-covered registry.
     let timeline = os.timeline();
-    timeline.record_into(os.metrics_mut());
-    fossilize_trace_loss(&mut os);
+    let (_, digest) = seal(&mut os, &timeline);
     let m = os.metrics();
-    result.requests = m.counter("cdev.writes");
-    result.saves = m.counter("ckpt.saves");
-    result.restores = m.counter("ckpt.restores");
-    result.dedup_bytes = m.counter("ckpt.dedup_bytes");
-    result.watermark_jumps = m.counter("ckpt.watermark_jumps");
-    result.digest = metrics_digest(&os);
+    let result = CkptCampaignResult {
+        checkpointing: cfg.checkpointing,
+        kills: cfg.faults,
+        recovered_kills,
+        printed_bytes: v.printed_bytes,
+        expected_printed: streams.job.len() as u64,
+        printer_byte_exact: v.printer_byte_exact,
+        samples_played: v.samples_played,
+        expected_samples: streams.expected_samples(),
+        app_visible_errors: v.app_visible_errors,
+        replays: v.replays,
+        requests: m.counter("cdev.writes"),
+        saves: m.counter("ckpt.saves"),
+        restores: m.counter("ckpt.restores"),
+        dedup_bytes: m.counter("ckpt.dedup_bytes"),
+        watermark_jumps: m.counter("ckpt.watermark_jumps"),
+        workloads_done: v.workloads_done,
+        digest,
+    };
     (result, os)
 }
 
 // ------------------------------------------------------------------------
 // Fail-silent campaign: mutations that do NOT crash the driver.
-
-use phoenix_servers::fsfmt::{FileContent, FileSpec};
-
-use crate::apps::{DdLoop, DdLoopStatus, LpdLoop, LpdLoopStatus};
 
 /// The three driver classes the fail-silent campaign mutates, with the
 /// workload class that observes each one.
@@ -997,11 +1117,8 @@ pub struct FailsilentResult {
     pub sentinels: bool,
     /// One entry per driver class, in [`FAILSILENT_TARGETS`] order.
     pub classes: Vec<FailsilentClassStats>,
-    /// Trace events lost to ring eviction (0 means the folded timeline
-    /// in the digest is complete).
-    pub trace_dropped: u64,
-    /// Per-event-kind breakdown of [`FailsilentResult::trace_dropped`].
-    pub trace_dropped_by_kind: Vec<(String, u64)>,
+    /// Trace events lost to ring eviction.
+    pub trace_loss: TraceLoss,
     /// MD5 over the canonical metrics dump — byte-identical across two
     /// same-seed runs.
     pub digest: String,
@@ -1050,22 +1167,17 @@ impl FailsilentResult {
     /// Detected / (detected + fail-silent), in [0, 1]. Benign mutations
     /// are excluded: there was nothing to detect.
     pub fn coverage(&self) -> f64 {
-        let harmful = self.detected() + self.fail_silent();
-        if harmful == 0 {
-            return 1.0;
-        }
-        self.detected() as f64 / harmful as f64
+        ratio(self.detected(), self.detected() + self.fail_silent())
     }
 
     /// Coverage with the sentinel-only detections reclassified as misses:
     /// what the crash-only baseline would have scored on the same defect
     /// population.
     pub fn crash_only_coverage(&self) -> f64 {
-        let harmful = self.detected() + self.fail_silent();
-        if harmful == 0 {
-            return 1.0;
-        }
-        (self.detected() - self.sentinel_only()) as f64 / harmful as f64
+        ratio(
+            self.detected() - self.sentinel_only(),
+            self.detected() + self.fail_silent(),
+        )
     }
 
     /// Renders the per-class table plus the coverage summary.
@@ -1088,18 +1200,12 @@ impl FailsilentResult {
             ));
         }
         out.push_str(&format!(
-            "coverage {:.1}% (crash-only baseline {:.1}%); digest {}",
+            "coverage {:.1}% (crash-only baseline {:.1}%); digest {}{}",
             self.coverage() * 100.0,
             self.crash_only_coverage() * 100.0,
             self.digest,
+            self.trace_loss.warning(),
         ));
-        if self.trace_dropped > 0 {
-            out.push_str(&format!(
-                "; WARNING: {} trace events lost{}",
-                self.trace_dropped,
-                render_trace_loss(&self.trace_dropped_by_kind),
-            ));
-        }
         out
     }
 }
@@ -1123,14 +1229,14 @@ pub struct FailsilentControl {
     pub digest: String,
 }
 
-struct FailsilentRig {
-    os: Os,
+/// The fail-silent campaign's always-on workloads, one per driver class.
+struct FailsilentLoad {
     udp: Rc<RefCell<UdpStatus>>,
     dd: Rc<RefCell<DdLoopStatus>>,
     lpd: Rc<RefCell<LpdLoopStatus>>,
 }
 
-impl FailsilentRig {
+impl FailsilentLoad {
     /// The monotone per-class progress odometer the campaign uses to tell
     /// "driver quietly dead" from "mutation was benign".
     fn progress(&self, class: usize) -> u64 {
@@ -1140,46 +1246,22 @@ impl FailsilentRig {
             _ => self.lpd.borrow().accepted,
         }
     }
-
-    fn fossilize(&mut self) -> (u64, Vec<(String, u64)>, String) {
-        let timeline = self.os.timeline();
-        timeline.record_into(self.os.metrics_mut());
-        let (trace_dropped, by_kind) = fossilize_trace_loss(&mut self.os);
-        (trace_dropped, by_kind, metrics_digest(&self.os))
-    }
 }
 
 /// Boots the three-class machine with one always-on workload per driver
 /// class.
-fn failsilent_rig(cfg: &FailsilentConfig) -> FailsilentRig {
-    let file_size = 256 * 1024u64;
-    let files = vec![FileSpec {
-        name: "stream".to_string(),
-        content: FileContent::Synthetic { size: file_size },
-    }];
-    let mut builder = Os::builder()
-        .seed(cfg.seed)
-        .with_network(NicKind::Dp8390)
-        .with_disk(file_size / 512 + 256, cfg.seed ^ 0xd15c, files)
+fn failsilent_rig(cfg: &FailsilentConfig) -> (Os, FailsilentLoad) {
+    let builder = Os::builder().seed(cfg.seed).with_network(NicKind::Dp8390);
+    let mut builder = stream_disk(builder, cfg.seed, "stream", 256 * 1024)
         .with_chardevs()
-        .heartbeat(SimDuration::from_millis(500), 2);
+        .heartbeat(ms(500), 2);
     if !cfg.sentinels {
         builder = builder.without_sentinels();
     }
     let mut os = builder.boot();
-    let inet = os.endpoint(names::INET).expect("inet up after boot");
     let vfs = os.endpoint(names::VFS).expect("vfs up after boot");
 
-    let udp = Rc::new(RefCell::new(UdpStatus::default()));
-    os.spawn_app(
-        "udp-traffic",
-        Box::new(UdpPing::new(
-            inet,
-            2_000_000,
-            SimDuration::from_millis(5),
-            udp.clone(),
-        )),
-    );
+    let udp = udp_traffic(&mut os, ms(5));
     let dd = Rc::new(RefCell::new(DdLoopStatus::default()));
     os.spawn_app(
         "dd-loop",
@@ -1188,8 +1270,8 @@ fn failsilent_rig(cfg: &FailsilentConfig) -> FailsilentRig {
     let lpd = Rc::new(RefCell::new(LpdLoopStatus::default()));
     let page: Vec<u8> = (0..512u32).map(|i| (i * 7 + 13) as u8).collect();
     os.spawn_app("lpd-loop", Box::new(LpdLoop::new(vfs, page, lpd.clone())));
-    os.run_for(SimDuration::from_millis(200));
-    FailsilentRig { os, udp, dd, lpd }
+    os.run_for(ms(200));
+    (os, FailsilentLoad { udp, dd, lpd })
 }
 
 /// Runs the fail-silent campaign: round-robin §7.2 mutations over the
@@ -1199,33 +1281,26 @@ fn failsilent_rig(cfg: &FailsilentConfig) -> FailsilentRig {
 /// callers can inspect `sentinel.*` / `rs.complaints.*` counters and the
 /// folded recovery timeline.
 pub fn run_failsilent_campaign(cfg: &FailsilentConfig) -> (FailsilentResult, Os) {
-    let mut rig = failsilent_rig(cfg);
-    let mut result = FailsilentResult {
-        sentinels: cfg.sentinels,
-        classes: FAILSILENT_TARGETS
-            .iter()
-            .map(|(class, driver)| FailsilentClassStats {
-                class: class.to_string(),
-                driver: driver.to_string(),
-                ..FailsilentClassStats::default()
-            })
-            .collect(),
-        ..FailsilentResult::default()
-    };
+    let (mut os, load) = failsilent_rig(cfg);
+    let mut classes: Vec<FailsilentClassStats> = FAILSILENT_TARGETS
+        .iter()
+        .map(|(class, driver)| FailsilentClassStats {
+            class: class.to_string(),
+            driver: driver.to_string(),
+            ..FailsilentClassStats::default()
+        })
+        .collect();
 
     for _ in 0..cfg.rounds {
         for (i, (_, driver)) in FAILSILENT_TARGETS.iter().enumerate() {
+            let stats = &mut classes[i];
             // Make sure the victim is actually up before mutating it.
-            let mut guard = 0;
-            while !rig.os.is_up(driver) && guard < 300 {
-                rig.os.run_for(SimDuration::from_millis(100));
-                guard += 1;
-            }
-            let Some(before) = rig.os.endpoint(driver) else {
-                result.classes[i].unrecovered += 1;
+            poll(&mut os, ms(100), 300, |os| os.is_up(driver));
+            let Some(before) = os.endpoint(driver) else {
+                stats.unrecovered += 1;
                 continue;
             };
-            let counts_before = defect_counts(&rig.os);
+            let counts_before = defect_counts(&os);
 
             // §7.2's method, per class: "repeatedly injected 1 randomly
             // selected fault into the running driver until it crashed" —
@@ -1233,144 +1308,101 @@ pub fn run_failsilent_campaign(cfg: &FailsilentConfig) -> (FailsilentResult, Os)
             // workload freezes with no detection (fail-silent). Most
             // single mutations land in cold code and change nothing; the
             // paper needed ~36 per visible defect.
-            #[derive(PartialEq)]
-            enum Outcome {
-                Detected,
-                Benign,
-                FailSilent,
-            }
             let mut outcome = Outcome::Benign;
             let mut mutations = 0u64;
             while outcome == Outcome::Benign && mutations < 200 {
-                if rig.os.endpoint(driver) != Some(before) {
+                if os.endpoint(driver) != Some(before) {
                     // A previous mutation's defect surfaced late.
                     outcome = Outcome::Detected;
                     break;
                 }
-                if rig.os.inject_fault(driver).is_none() {
+                if os.inject_fault(driver).is_none() {
                     break;
                 }
                 mutations += 1;
-                result.classes[i].injections += 1;
-                rig.os.run_for(cfg.injection_interval);
-
-                // Classify: watch the endpoint (any detector fired -> RS
-                // replaced the incarnation) against the workload odometer
-                // (progress -> this mutation was benign so far).
-                let p0 = rig.progress(i);
-                let started = rig.os.now();
-                outcome = Outcome::FailSilent;
-                loop {
-                    if rig.os.endpoint(driver) != Some(before) {
-                        outcome = Outcome::Detected;
-                        break;
-                    }
-                    if rig.progress(i) > p0 {
-                        // Progress can race a complaint quorum that is
-                        // still accumulating; give the arbiter a beat
-                        // before calling the mutation benign.
-                        rig.os.run_for(SimDuration::from_millis(100));
-                        outcome = if rig.os.endpoint(driver) != Some(before) {
-                            Outcome::Detected
-                        } else {
-                            Outcome::Benign
-                        };
-                        break;
-                    }
-                    if rig.os.now().since(started) >= cfg.detect_window {
-                        break;
-                    }
-                    rig.os.run_for(SimDuration::from_millis(100));
-                }
+                stats.injections += 1;
+                os.run_for(cfg.injection_interval);
+                // Watch the endpoint (any detector fired -> RS replaced
+                // the incarnation) against the workload odometer.
+                let p0 = load.progress(i);
+                outcome = watch(
+                    &mut os,
+                    driver,
+                    before,
+                    ms(100),
+                    cfg.detect_window,
+                    ms(100),
+                    || load.progress(i) > p0,
+                );
             }
 
             match outcome {
-                Outcome::Benign => result.classes[i].benign += 1,
+                Outcome::Benign => stats.benign += 1,
                 Outcome::Detected => {
-                    let mut recovered = false;
-                    for _ in 0..300 {
-                        if rig.os.endpoint(driver).is_some_and(|e| e != before) {
-                            recovered = true;
-                            break;
-                        }
-                        rig.os.run_for(SimDuration::from_millis(100));
-                    }
-                    let delta_complaint = defect_counts(&rig.os)[4] > counts_before[4];
-                    let crash_classes_moved = {
-                        let after = defect_counts(&rig.os);
+                    let recovered = await_fresh(&mut os, driver, before, ms(100), 300);
+                    let after = defect_counts(&os);
+                    stats.detected += 1;
+                    // The complaint class moved: sentinel evidence took part.
+                    if after[4] > counts_before[4] {
+                        stats.sentinel_detected += 1;
                         // exit, exception, killed, heartbeat — everything
                         // the crash-only baseline can see.
-                        [0usize, 1, 2, 3]
-                            .iter()
-                            .any(|&k| after[k] > counts_before[k])
-                    };
-                    result.classes[i].detected += 1;
-                    if delta_complaint {
-                        result.classes[i].sentinel_detected += 1;
-                        if !crash_classes_moved {
-                            result.classes[i].sentinel_only += 1;
+                        if !(0..4).any(|k| after[k] > counts_before[k]) {
+                            stats.sentinel_only += 1;
                         }
                     }
                     if !recovered {
-                        result.classes[i].unrecovered += 1;
+                        stats.unrecovered += 1;
                     }
                 }
                 Outcome::FailSilent => {
                     // Undetected by every layer: the §5.1-input-3 user
                     // notices the frozen workload and restarts by hand.
-                    result.classes[i].fail_silent += 1;
-                    rig.os.service_restart(driver);
-                    let mut recovered = false;
-                    for _ in 0..300 {
-                        if rig.os.endpoint(driver).is_some_and(|e| e != before) {
-                            recovered = true;
-                            break;
-                        }
-                        rig.os.run_for(SimDuration::from_millis(100));
-                    }
-                    if !recovered {
-                        result.classes[i].unrecovered += 1;
+                    stats.fail_silent += 1;
+                    os.service_restart(driver);
+                    if !await_fresh(&mut os, driver, before, ms(100), 300) {
+                        stats.unrecovered += 1;
                     }
                 }
             }
             // Let the workloads re-establish before the next mutation.
-            rig.os.run_for(SimDuration::from_millis(100));
+            os.run_for(ms(100));
         }
     }
 
     // Drain, then fossilize the timeline and trace-loss into the digest.
-    rig.os.run_for(SimDuration::from_secs(1));
-    let (trace_dropped, by_kind, digest) = rig.fossilize();
-    result.trace_dropped = trace_dropped;
-    result.trace_dropped_by_kind = by_kind;
-    result.digest = digest;
-    (result, rig.os)
+    os.run_for(SimDuration::from_secs(1));
+    let timeline = os.timeline();
+    let (trace_loss, digest) = seal(&mut os, &timeline);
+    let result = FailsilentResult {
+        sentinels: cfg.sentinels,
+        classes,
+        trace_loss,
+        digest,
+    };
+    (result, os)
 }
 
 /// Runs the no-fault control arm: the same machine and workloads, zero
 /// injections, fixed virtual duration. With the sentinels armed, every
 /// restart or accepted complaint it reports is a false positive.
 pub fn run_failsilent_control(cfg: &FailsilentConfig, run_for: SimDuration) -> FailsilentControl {
-    let mut rig = failsilent_rig(cfg);
-    rig.os.run_for(run_for);
-    let (_, _, digest) = rig.fossilize();
-    let control = FailsilentControl {
-        restarts: rig.os.metrics().counter("rs.recoveries"),
-        complaints_accepted: rig.os.metrics().counter("rs.complaints.accepted"),
-        echoed: rig.udp.borrow().echoed,
-        disk_bytes: rig.dd.borrow().bytes,
-        printed: rig.lpd.borrow().accepted,
+    let (mut os, load) = failsilent_rig(cfg);
+    os.run_for(run_for);
+    let timeline = os.timeline();
+    let (_, digest) = seal(&mut os, &timeline);
+    FailsilentControl {
+        restarts: os.metrics().counter("rs.recoveries"),
+        complaints_accepted: os.metrics().counter("rs.complaints.accepted"),
+        echoed: load.progress(0),
+        disk_bytes: load.progress(1),
+        printed: load.progress(2),
         digest,
-    };
-    control
+    }
 }
 
 // ------------------------------------------------------------------------
 // Microreboot campaign: crash-only system servers under mutation.
-
-use phoenix_servers::ServerFault;
-
-use crate::apps::{Dd, DdStatus, Wget, WgetStatus};
 
 /// The four system servers the microreboot campaign mutates. PM is not in
 /// the RS service table — its recovery is the *recursive* path where RS
@@ -1460,10 +1492,8 @@ pub struct MicrorebootResult {
     /// Per-phase MTTR rows folded from the causal trace:
     /// `(phase, episodes, mean)`.
     pub phase_mttr: Vec<(String, usize, SimDuration)>,
-    /// Trace events lost to ring eviction (0 = complete timeline).
-    pub trace_dropped: u64,
-    /// Per-event-kind breakdown of [`MicrorebootResult::trace_dropped`].
-    pub trace_dropped_by_kind: Vec<(String, u64)>,
+    /// Trace events lost to ring eviction.
+    pub trace_loss: TraceLoss,
     /// MD5 over the canonical metrics dump — byte-identical across two
     /// same-seed runs.
     pub digest: String,
@@ -1496,20 +1526,13 @@ impl MicrorebootResult {
 
     /// Detected / (detected + fail-silent), in [0, 1].
     pub fn coverage(&self) -> f64 {
-        let harmful = self.detected() + self.fail_silent();
-        if harmful == 0 {
-            return 1.0;
-        }
-        self.detected() as f64 / harmful as f64
+        ratio(self.detected(), self.detected() + self.fail_silent())
     }
 
     /// Transparent / detected, in [0, 1]: of the defects the system
     /// caught, how many the observer application never noticed.
     pub fn transparency(&self) -> f64 {
-        if self.detected() == 0 {
-            return 1.0;
-        }
-        self.transparent() as f64 / self.detected() as f64
+        ratio(self.transparent(), self.detected())
     }
 
     /// `true` when the externalized state outgrew the configured cap.
@@ -1556,18 +1579,12 @@ impl MicrorebootResult {
         }
         out.push('\n');
         out.push_str(&format!(
-            "coverage {:.1}%, transparency {:.1}%; digest {}",
+            "coverage {:.1}%, transparency {:.1}%; digest {}{}",
             self.coverage() * 100.0,
             self.transparency() * 100.0,
             self.digest,
+            self.trace_loss.warning(),
         ));
-        if self.trace_dropped > 0 {
-            out.push_str(&format!(
-                "; WARNING: {} trace events lost{}",
-                self.trace_dropped,
-                render_trace_loss(&self.trace_dropped_by_kind),
-            ));
-        }
         out
     }
 }
@@ -1673,45 +1690,20 @@ impl MicrorebootRig {
             Observer::Disk(st)
         }
     }
-
-    fn fossilize(&mut self) -> (u64, Vec<(String, u64)>, String) {
-        let timeline = self.os.timeline();
-        timeline.record_into(self.os.metrics_mut());
-        let (trace_dropped, by_kind) = fossilize_trace_loss(&mut self.os);
-        (trace_dropped, by_kind, metrics_digest(&self.os))
-    }
 }
 
 /// Boots the crash-only machine (checkpointing servers, sticky slots,
 /// PM guard) with always-on datagram traffic, and records the byte-exact
 /// expectations from one pristine run of each observer job.
 fn microreboot_rig(cfg: &MicrorebootConfig) -> MicrorebootRig {
-    let files = vec![FileSpec {
-        name: "stream".to_string(),
-        content: FileContent::Synthetic {
-            size: MICROREBOOT_FILE,
-        },
-    }];
-    let mut os = Os::builder()
-        .seed(cfg.seed)
-        .with_network(NicKind::Dp8390)
-        .with_disk(MICROREBOOT_FILE / 512 + 256, cfg.seed ^ 0xd15c, files)
+    let builder = Os::builder().seed(cfg.seed).with_network(NicKind::Dp8390);
+    let mut os = stream_disk(builder, cfg.seed, "stream", MICROREBOOT_FILE)
         .with_checkpointing()
-        .heartbeat(SimDuration::from_millis(500), 2)
+        .heartbeat(ms(500), 2)
         .boot();
     let inet = os.endpoint(names::INET).expect("inet up after boot");
     let vfs = os.endpoint(names::VFS).expect("vfs up after boot");
-
-    let udp = Rc::new(RefCell::new(UdpStatus::default()));
-    os.spawn_app(
-        "udp-traffic",
-        Box::new(UdpPing::new(
-            inet,
-            2_000_000,
-            SimDuration::from_millis(5),
-            udp.clone(),
-        )),
-    );
+    let udp = udp_traffic(&mut os, ms(5));
 
     // Pristine reference jobs: their digests define "byte-exact" for
     // every later observer, and they warm the mount tables and session
@@ -1726,11 +1718,9 @@ fn microreboot_rig(cfg: &MicrorebootConfig) -> MicrorebootRig {
         "wget-ref",
         Box::new(Wget::new(inet, MICROREBOOT_DOWNLOAD, 0, wget_ref.clone())),
     );
-    let mut guard = 0;
-    while (!dd_ref.borrow().done || !wget_ref.borrow().done) && guard < 600 {
-        os.run_for(SimDuration::from_millis(50));
-        guard += 1;
-    }
+    poll(&mut os, ms(50), 600, |_| {
+        dd_ref.borrow().done && wget_ref.borrow().done
+    });
     let expected_sha1 = dd_ref.borrow().sha1.clone().expect("pristine read done");
     let expected_md5 = wget_ref
         .borrow()
@@ -1766,23 +1756,13 @@ pub fn run_microreboot_campaign(cfg: &MicrorebootConfig) -> (MicrorebootResult, 
         ..MicrorebootResult::default()
     };
 
-    #[derive(PartialEq)]
-    enum Outcome {
-        Detected,
-        Benign,
-        FailSilent,
-    }
-
     for _ in 0..cfg.rounds {
         for (i, target) in MICROREBOOT_TARGETS.iter().enumerate() {
+            let stats = &mut result.servers[i];
             // Make sure the victim is actually up before mutating it.
-            let mut guard = 0;
-            while rig.os.endpoint(target).is_none() && guard < 300 {
-                rig.os.run_for(SimDuration::from_millis(100));
-                guard += 1;
-            }
+            poll(&mut rig.os, ms(100), 300, |os| os.is_up(target));
             let Some(before) = rig.os.endpoint(target) else {
-                result.servers[i].unrecovered += 1;
+                stats.unrecovered += 1;
                 continue;
             };
 
@@ -1793,58 +1773,33 @@ pub fn run_microreboot_campaign(cfg: &MicrorebootConfig) -> (MicrorebootResult, 
             // reply the observer is actually waiting for. (PM's trigger
             // is the RS liveness ping instead.)
             let fault = rig.os.inject_server_fault(target);
-            result.servers[i].injections += 1;
+            stats.injections += 1;
             match fault {
-                ServerFault::Crash => result.servers[i].crashes += 1,
-                ServerFault::Stall => result.servers[i].stalls += 1,
-                ServerFault::Garble => result.servers[i].garbles += 1,
+                ServerFault::Crash => stats.crashes += 1,
+                ServerFault::Stall => stats.stalls += 1,
+                ServerFault::Garble => stats.garbles += 1,
                 ServerFault::Benign => {}
             }
             let observer = rig.spawn_observer(target);
 
-            let started = rig.os.now();
-            let mut outcome = Outcome::FailSilent;
-            loop {
-                if rig.os.endpoint(target) != Some(before) {
-                    outcome = Outcome::Detected;
-                    break;
-                }
-                // PM is not on the observer's path, so its completion
-                // says nothing about PM's health; only the endpoint and
-                // the window classify a PM round.
-                if *target != "pm" && observer.done() {
-                    // Give a still-accumulating complaint a beat before
-                    // calling the mutation benign.
-                    rig.os.run_for(SimDuration::from_millis(200));
-                    outcome = if rig.os.endpoint(target) != Some(before) {
-                        Outcome::Detected
-                    } else {
-                        Outcome::Benign
-                    };
-                    break;
-                }
-                if rig.os.now().since(started) >= cfg.detect_window {
-                    break;
-                }
-                rig.os.run_for(SimDuration::from_millis(50));
-            }
-
-            let wait_recovered = |rig: &mut MicrorebootRig| {
-                for _ in 0..300 {
-                    if rig.os.endpoint(target).is_some_and(|e| e != before) {
-                        return true;
-                    }
-                    rig.os.run_for(SimDuration::from_millis(100));
-                }
-                false
-            };
-
+            // PM is not on the observer's path, so its completion says
+            // nothing about PM's health; only the endpoint and the window
+            // classify a PM round.
+            let outcome = watch(
+                &mut rig.os,
+                target,
+                before,
+                ms(50),
+                cfg.detect_window,
+                ms(200),
+                || *target != "pm" && observer.done(),
+            );
             match outcome {
-                Outcome::Benign => result.servers[i].benign += 1,
+                Outcome::Benign => stats.benign += 1,
                 Outcome::Detected => {
-                    result.servers[i].detected += 1;
-                    if !wait_recovered(&mut rig) {
-                        result.servers[i].unrecovered += 1;
+                    stats.detected += 1;
+                    if !await_fresh(&mut rig.os, target, before, ms(100), 300) {
+                        stats.unrecovered += 1;
                     }
                     // Transparency: the observer must finish byte-exact
                     // across the microreboot. Progress-based cutoff so a
@@ -1852,7 +1807,7 @@ pub fn run_microreboot_campaign(cfg: &MicrorebootConfig) -> (MicrorebootResult, 
                     let mut idle = 0;
                     while !observer.done() && idle < 100 {
                         let p0 = observer.progress();
-                        rig.os.run_for(SimDuration::from_millis(100));
+                        rig.os.run_for(ms(100));
                         idle = if observer.progress() > p0 {
                             0
                         } else {
@@ -1860,45 +1815,40 @@ pub fn run_microreboot_campaign(cfg: &MicrorebootConfig) -> (MicrorebootResult, 
                         };
                     }
                     if observer.byte_exact(&rig) {
-                        result.servers[i].transparent += 1;
+                        stats.transparent += 1;
                     }
                 }
                 Outcome::FailSilent => {
-                    result.servers[i].fail_silent += 1;
+                    stats.fail_silent += 1;
+                    // No user-facing restart handle exists for PM — that
+                    // is exactly why RS must guard it.
                     if *target == "pm" {
-                        // No user-facing restart handle exists for PM —
-                        // that is exactly why RS must guard it.
-                        result.servers[i].unrecovered += 1;
+                        stats.unrecovered += 1;
                     } else {
                         rig.os.service_restart(target);
-                        if !wait_recovered(&mut rig) {
-                            result.servers[i].unrecovered += 1;
+                        if !await_fresh(&mut rig.os, target, before, ms(100), 300) {
+                            stats.unrecovered += 1;
                         }
                     }
                 }
             }
             // Let the machine settle before the next mutation.
-            rig.os.run_for(SimDuration::from_millis(100));
+            rig.os.run_for(ms(100));
         }
     }
 
     // Drain, then fossilize the timeline and trace-loss into the digest.
     rig.os.run_for(SimDuration::from_secs(1));
-    let (trace_dropped, by_kind, digest) = rig.fossilize();
-    result.trace_dropped = trace_dropped;
-    result.trace_dropped_by_kind = by_kind;
-    result.digest = digest;
+    let timeline = rig.os.timeline();
+    (result.trace_loss, result.digest) = seal(&mut rig.os, &timeline);
+    let m = rig.os.metrics();
     for (k, slot) in ["level1", "level2", "level3"].iter().zip(0..) {
-        result.escalations[slot] = rig.os.metrics().counter(&format!("rs.escalations.{k}"));
+        result.escalations[slot] = m.counter(&format!("rs.escalations.{k}"));
     }
-    result.snapshot_bytes = rig.os.metrics().counter("ds.snapshot_bytes");
-    result.snapshot_records = rig.os.metrics().counter("ckpt.store_size");
+    result.snapshot_bytes = m.counter("ds.snapshot_bytes");
+    result.snapshot_records = m.counter("ckpt.store_size");
     for phase in ["detect", "repair", "reintegrate", "replay", "total"] {
-        if let Some(h) = rig
-            .os
-            .metrics()
-            .histogram(&format!("recovery.phase.{phase}"))
-        {
+        if let Some(h) = m.histogram(&format!("recovery.phase.{phase}")) {
             if let Some(mean) = h.mean_duration() {
                 result.phase_mttr.push((phase.to_string(), h.count(), mean));
             }
@@ -1924,7 +1874,8 @@ pub fn run_microreboot_control(
     rig.os.run_for(run_for);
     let disk_bytes = observers.iter().map(Observer::progress).sum();
     let echoed = rig.udp.borrow().echoed;
-    let (_, _, digest) = rig.fossilize();
+    let timeline = rig.os.timeline();
+    let (_, digest) = seal(&mut rig.os, &timeline);
     let m = rig.os.metrics();
     MicrorebootControl {
         restarts: m.counter("rs.recoveries"),
@@ -1941,10 +1892,6 @@ pub fn run_microreboot_control(
 
 // ------------------------------------------------------------------------
 // SLO campaign: phase-attributed latency under open-loop load and chaos.
-
-use phoenix_simcore::obs::phase;
-
-use crate::loadgen::{InetLoadConfig, InetLoadGen, LoadStatus, VfsJobMix, VfsLoadConfig};
 
 /// Parameters of the SLO campaign: an open-loop INET client fleet plus a
 /// multi-client VFS job mix run against a machine whose network and block
@@ -2038,10 +1985,8 @@ pub struct SloCampaignResult {
     /// One row per phase that saw requests or wall time, in
     /// detection → repair → reintegration → replay → steady order.
     pub phases: Vec<SloPhaseRow>,
-    /// Trace events lost to ring eviction (see [`ChaosCampaignResult`]).
-    pub trace_dropped: u64,
-    /// Per-event-kind breakdown of [`SloCampaignResult::trace_dropped`].
-    pub trace_dropped_by_kind: Vec<(String, u64)>,
+    /// Trace events lost to ring eviction.
+    pub trace_loss: TraceLoss,
     /// MD5 over the canonical metrics dump (determinism handle).
     pub digest: String,
 }
@@ -2049,10 +1994,7 @@ pub struct SloCampaignResult {
 impl SloCampaignResult {
     /// Fraction of kills that recovered, in [0, 1].
     pub fn recovery_rate(&self) -> f64 {
-        if self.kills.is_empty() {
-            return 1.0;
-        }
-        self.kills.iter().filter(|k| k.recovered).count() as f64 / self.kills.len() as f64
+        recovery_rate(&self.kills)
     }
 
     /// The row for a phase, if it saw requests or wall time.
@@ -2065,7 +2007,7 @@ impl SloCampaignResult {
         let mut out = format!(
             "slo under chaos {:.2}: {} sessions, {} kills -> recovery {:.0}%; \
              {} started / {} completed / {} failed / {} shed, peak live {}; \
-             digest {}",
+             digest {}{}",
             self.intensity,
             self.sessions,
             self.kills.len(),
@@ -2076,14 +2018,8 @@ impl SloCampaignResult {
             self.shed,
             self.peak_live,
             self.digest,
+            self.trace_loss.warning(),
         );
-        if self.trace_dropped > 0 {
-            out.push_str(&format!(
-                "; WARNING: {} trace events lost{} (timeline may be incomplete)",
-                self.trace_dropped,
-                render_trace_loss(&self.trace_dropped_by_kind),
-            ));
-        }
         for p in &self.phases {
             out.push_str(&format!(
                 "\n  {:<12} {:>8} req {:>6} failed  p50 {:>8}us p99 {:>8}us \
@@ -2117,17 +2053,9 @@ impl SloCampaignResult {
 pub fn run_slo_campaign(cfg: &SloCampaignConfig) -> (SloCampaignResult, Os) {
     let eth = names::ETH_RTL8139;
     let blk = names::BLK_SATA;
-    let files = vec![FileSpec {
-        name: cfg.vfs.path.clone(),
-        content: FileContent::Synthetic {
-            size: cfg.file_size,
-        },
-    }];
-    let mut builder = Os::builder()
-        .seed(cfg.seed)
-        .with_network(NicKind::Rtl8139)
-        .with_disk(cfg.file_size / 512 + 256, cfg.seed ^ 0xd15c, files)
-        .heartbeat(SimDuration::from_millis(500), 3);
+    let builder = Os::builder().seed(cfg.seed).with_network(NicKind::Rtl8139);
+    let mut builder =
+        stream_disk(builder, cfg.seed, &cfg.vfs.path, cfg.file_size).heartbeat(ms(500), 3);
     if cfg.intensity > 0.0 {
         builder = builder.chaos(ChaosPlan::driver_traffic(cfg.intensity));
     }
@@ -2154,59 +2082,17 @@ pub fn run_slo_campaign(cfg: &SloCampaignConfig) -> (SloCampaignResult, Os) {
     // steady-state row has samples to compare the recovery rows against.
     os.run_for(cfg.inet.ramp);
 
-    let mut result = SloCampaignResult {
-        intensity: cfg.intensity,
-        sessions: cfg.inet.sessions,
-        ..SloCampaignResult::default()
-    };
-    for _ in 0..cfg.kills_per_target {
-        for target in [eth, blk] {
-            let mut guard = 0;
-            while !os.is_up(target) && guard < 3000 {
-                os.run_for(SimDuration::from_millis(10));
-                guard += 1;
-            }
-            let Some(before) = os.endpoint(target) else {
-                result.kills.push(ChaosKillRecord {
-                    target: target.to_string(),
-                    recovered: false,
-                    mttr: SimDuration::ZERO,
-                });
-                continue;
-            };
-            let t0 = os.now();
-            os.kill_by_user(target);
-            let mut recovered = false;
-            let mut guard = 0;
-            while guard < 3000 {
-                os.run_for(SimDuration::from_millis(10));
-                guard += 1;
-                if os.endpoint(target).is_some_and(|ep| ep != before) {
-                    recovered = true;
-                    break;
-                }
-            }
-            result.kills.push(ChaosKillRecord {
-                target: target.to_string(),
-                recovered,
-                mttr: os.now().since(t0),
-            });
-            os.run_for(cfg.kill_interval);
-        }
-    }
+    let kills = (0..cfg.kills_per_target)
+        .flat_map(|_| [eth, blk])
+        .map(|target| kill_and_await(&mut os, target, 3000, cfg.kill_interval))
+        .collect();
 
     // Drain: run until both generators report every scheduled arrival
     // admitted, shed or completed (bounded — a wedged run still returns,
     // with `*_drained` false in the result).
-    let mut guard = 0;
-    while guard < 600 {
-        let done = inet_status.borrow().drained && vfs_status.borrow().drained;
-        if done {
-            break;
-        }
-        os.run_for(SimDuration::from_millis(100));
-        guard += 1;
-    }
+    poll(&mut os, ms(100), 600, |_| {
+        inet_status.borrow().drained && vfs_status.borrow().drained
+    });
     os.run_for(SimDuration::from_secs(1));
 
     // Fold the recovery timeline, join the request log against it, and
@@ -2214,27 +2100,29 @@ pub fn run_slo_campaign(cfg: &SloCampaignConfig) -> (SloCampaignResult, Os) {
     // registry. The INET records come first, then VFS — a fixed order, so
     // two same-seed runs fold byte-identically.
     let timeline = os.timeline();
-    timeline.record_into(os.metrics_mut());
     let mut requests: Vec<phoenix_simcore::obs::RequestRecord> = Vec::new();
     requests.extend(inet_status.borrow().records.iter().copied());
     requests.extend(vfs_status.borrow().records.iter().copied());
     timeline.record_requests_into(&requests, os.metrics_mut());
-    let (trace_dropped, trace_by_kind) = fossilize_trace_loss(&mut os);
-    result.trace_dropped = trace_dropped;
-    result.trace_dropped_by_kind = trace_by_kind;
-    result.unaccounted_episodes = timeline.unaccounted().len() as u64;
+    let (trace_loss, digest) = seal(&mut os, &timeline);
 
-    {
-        let ist = inet_status.borrow();
-        let vst = vfs_status.borrow();
-        result.started = ist.started + vst.started;
-        result.completed = ist.completed + vst.completed;
-        result.failed = ist.failed + vst.failed;
-        result.shed = ist.shed + vst.shed;
-        result.peak_live = ist.peak_live;
-        result.inet_drained = ist.drained;
-        result.vfs_drained = vst.drained;
-    }
+    let (ist, vst) = (inet_status.borrow(), vfs_status.borrow());
+    let mut result = SloCampaignResult {
+        intensity: cfg.intensity,
+        sessions: cfg.inet.sessions,
+        kills,
+        started: ist.started + vst.started,
+        completed: ist.completed + vst.completed,
+        failed: ist.failed + vst.failed,
+        shed: ist.shed + vst.shed,
+        peak_live: ist.peak_live,
+        inet_drained: ist.drained,
+        vfs_drained: vst.drained,
+        unaccounted_episodes: timeline.unaccounted().len() as u64,
+        phases: Vec::new(),
+        trace_loss,
+        digest,
+    };
     // Phase rows in recovery-first order; steady last as the baseline.
     let order = [
         phase::DETECT,
@@ -2273,14 +2161,11 @@ pub fn run_slo_campaign(cfg: &SloCampaignConfig) -> (SloCampaignResult, Os) {
             p999_us: p999,
         });
     }
-    result.digest = metrics_digest(&os);
     (result, os)
 }
 
 // ------------------------------------------------------------------------
 // Standby campaign: hot-standby failover vs cold restart+replay.
-
-use phoenix_servers::policy::{AdaptParam, PolicyScript};
 
 /// The canonical self-tuning recovery policy: one clamped bang-bang
 /// controller per adaptable [`phoenix_servers::policy::PolicyParams`]
@@ -2317,11 +2202,16 @@ pub fn adapt_gauges(os: &Os) -> Vec<(String, u64)> {
 
 /// Renders the adapted-parameter line printed next to campaign digests.
 pub fn render_adapt_gauges(os: &Os) -> String {
-    let parts: Vec<String> = adapt_gauges(os)
-        .into_iter()
+    format!("adapt: {}", render_gauges(&adapt_gauges(os)))
+}
+
+/// `name=value` pairs with the `rs.adapt.` prefix stripped.
+fn render_gauges(gauges: &[(String, u64)]) -> String {
+    let parts: Vec<String> = gauges
+        .iter()
         .map(|(k, v)| format!("{}={v}", k.trim_start_matches("rs.adapt.")))
         .collect();
-    format!("adapt: {}", parts.join(" "))
+    parts.join(" ")
 }
 
 /// Parameters of the standby campaign: repeated deterministic defects
@@ -2430,10 +2320,8 @@ pub struct StandbyCampaignResult {
     /// Clamp-band violations found in the `rs.adapt.trace.*`
     /// trajectories (must be empty).
     pub adapt_out_of_band: Vec<String>,
-    /// Trace events lost to ring eviction (0 = complete timeline).
-    pub trace_dropped: u64,
-    /// Per-event-kind breakdown of trace loss.
-    pub trace_dropped_by_kind: Vec<(String, u64)>,
+    /// Trace events lost to ring eviction.
+    pub trace_loss: TraceLoss,
     /// MD5 over the canonical metrics dump — byte-identical across two
     /// same-seed runs.
     pub digest: String,
@@ -2486,16 +2374,12 @@ impl StandbyCampaignResult {
             self.replays,
             self.watermark_jumps,
         ));
-        let gauges: Vec<String> = self
-            .adapt_gauges
-            .iter()
-            .map(|(k, v)| format!("{}={v}", k.trim_start_matches("rs.adapt.")))
-            .collect();
         out.push_str(&format!(
-            "adapt updates {}, {}; digest {}",
+            "adapt updates {}, {}; digest {}{}",
             self.adapt_updates,
-            gauges.join(" "),
+            render_gauges(&self.adapt_gauges),
             self.digest,
+            self.trace_loss.warning(),
         ));
         if !self.adapt_trace.is_empty() {
             let ranges: Vec<String> = self
@@ -2507,13 +2391,6 @@ impl StandbyCampaignResult {
         }
         for v in &self.adapt_out_of_band {
             out.push_str(&format!("\nWARNING: {v}"));
-        }
-        if self.trace_dropped > 0 {
-            out.push_str(&format!(
-                "\nWARNING: {} trace events lost{}",
-                self.trace_dropped,
-                render_trace_loss(&self.trace_dropped_by_kind),
-            ));
         }
         out
     }
@@ -2542,41 +2419,11 @@ pub struct StandbyControl {
     pub digest: String,
 }
 
-struct StandbyRig {
-    os: Os,
-    lpd: Rc<RefCell<CkptLpdStatus>>,
-    mp3: Rc<RefCell<CkptMp3Status>>,
-    job_len: u64,
-    blocks_total: u64,
-    block_bytes: usize,
-}
-
-impl StandbyRig {
-    /// Monotone per-class progress odometer (driver-acked bytes).
-    fn progress(&self, class: usize) -> u64 {
-        if class == 0 {
-            self.lpd.borrow().acked
-        } else {
-            self.mp3.borrow().acked
-        }
-    }
-
-    fn done(&self, class: usize) -> bool {
-        if class == 0 {
-            self.lpd.borrow().done
-        } else {
-            self.mp3.borrow().done
-        }
-    }
-}
-
 /// Boots the char-device machine (checkpointing on, warm spares and the
 /// adapt controllers per `cfg`) with the checkpointed print and audio
 /// workloads sized to stay in flight across the whole fault schedule.
-fn standby_rig(cfg: &StandbyCampaignConfig) -> StandbyRig {
-    let mut builder = Os::builder()
-        .seed(cfg.seed)
-        .heartbeat(SimDuration::from_millis(500), 3);
+fn standby_rig(cfg: &StandbyCampaignConfig) -> (Os, CharStreams) {
+    let mut builder = Os::builder().seed(cfg.seed).heartbeat(ms(500), 3);
     builder = if cfg.hot_standby {
         builder.with_hot_standby()
     } else {
@@ -2586,7 +2433,6 @@ fn standby_rig(cfg: &StandbyCampaignConfig) -> StandbyRig {
         builder = builder.adapt_policy(standby_adapt_script());
     }
     let mut os = builder.boot();
-    let vfs = os.endpoint(names::VFS).expect("vfs up after boot");
 
     // The drivers deduplicate replayed WAL writes against an absolute
     // stream watermark, so each class runs ONE long job sized to outlast
@@ -2597,47 +2443,22 @@ fn standby_rig(cfg: &StandbyCampaignConfig) -> StandbyRig {
     // and pacing) — the printer eats 32 KB/s, the DAC 176.4 KB/s.
     let secs = cfg.faults * 8 + 20;
     let job = ckpt_print_job(cfg.seed, (secs * 32 * 1024) as usize);
-    let job_len = job.len() as u64;
-    let blocks_total = secs * 40;
-    let block_bytes = 4410usize; // 25 ms of CD stereo audio
-    let block_period = SimDuration::from_millis(25);
-
-    let lpd = Rc::new(RefCell::new(CkptLpdStatus::default()));
-    let mp3 = Rc::new(RefCell::new(CkptMp3Status::default()));
-    os.spawn_app("ckpt-lpd", Box::new(CkptLpd::new(vfs, job, lpd.clone())));
-    os.spawn_app(
-        "ckpt-mp3",
-        Box::new(CkptMp3Player::new(
-            vfs,
-            blocks_total,
-            block_bytes,
-            block_period,
-            mp3.clone(),
-        )),
-    );
+    let streams = CharStreams::spawn(&mut os, job, secs * 40, true);
     // Let the workloads open their devices and the spares start tailing.
-    os.run_for(SimDuration::from_millis(300));
-    StandbyRig {
-        os,
-        lpd,
-        mp3,
-        job_len,
-        blocks_total,
-        block_bytes,
-    }
+    os.run_for(ms(300));
+    (os, streams)
 }
 
 /// Fills the result fields shared by the campaign and its render: folds
 /// the timeline (per-class repair phases), snapshots the standby and
 /// adapt counters, audits the `rs.adapt.trace.*` trajectories against
 /// the declared clamp bands, and computes the digest.
-fn standby_fossilize(rig: &mut StandbyRig, cfg: &StandbyCampaignConfig) -> StandbyCampaignResult {
-    let timeline = rig.os.timeline();
-    timeline.record_into(rig.os.metrics_mut());
-    let (trace_dropped, trace_by_kind) = fossilize_trace_loss(&mut rig.os);
+fn standby_fossilize(os: &mut Os, cfg: &StandbyCampaignConfig) -> StandbyCampaignResult {
+    let timeline = os.timeline();
+    let (trace_loss, digest) = seal(os, &timeline);
 
     let mut classes = Vec::new();
-    for driver in [names::CHR_PRINTER, names::CHR_AUDIO] {
+    for driver in STREAM_DRIVERS {
         let repairs: Vec<u64> = timeline
             .episodes
             .iter()
@@ -2666,7 +2487,7 @@ fn standby_fossilize(rig: &mut StandbyRig, cfg: &StandbyCampaignConfig) -> Stand
         for rule in standby_adapt_script().adapt_rules() {
             let (lo, hi) = rule.clamp_band();
             let name = format!("rs.adapt.trace.{}", rule.param.name());
-            if let Some(h) = rig.os.metrics().histogram(&name) {
+            if let Some(h) = os.metrics().histogram(&name) {
                 let min = h.min().unwrap_or(lo as f64);
                 let max = h.max().unwrap_or(hi as f64);
                 adapt_trace.push((rule.param.name().to_string(), min as u64, max as u64));
@@ -2679,7 +2500,7 @@ fn standby_fossilize(rig: &mut StandbyRig, cfg: &StandbyCampaignConfig) -> Stand
         }
     }
 
-    let m = rig.os.metrics();
+    let m = os.metrics();
     StandbyCampaignResult {
         hot_standby: cfg.hot_standby,
         adapt: cfg.adapt,
@@ -2691,12 +2512,11 @@ fn standby_fossilize(rig: &mut StandbyRig, cfg: &StandbyCampaignConfig) -> Stand
         classes,
         watermark_jumps: m.counter("ckpt.watermark_jumps"),
         adapt_updates: m.counter("rs.adapt.updates"),
-        adapt_gauges: adapt_gauges(&rig.os),
+        adapt_gauges: adapt_gauges(os),
         adapt_trace,
         adapt_out_of_band: out_of_band,
-        trace_dropped,
-        trace_dropped_by_kind: trace_by_kind,
-        digest: metrics_digest(&rig.os),
+        trace_loss,
+        digest,
         ..StandbyCampaignResult::default()
     }
 }
@@ -2710,138 +2530,95 @@ fn standby_fossilize(rig: &mut StandbyRig, cfg: &StandbyCampaignConfig) -> Stand
 /// histograms compare promotion against cold restart+replay on the same
 /// defect schedule. Hands back the booted [`Os`] for inspection.
 pub fn run_standby_campaign(cfg: &StandbyCampaignConfig) -> (StandbyCampaignResult, Os) {
-    let mut rig = standby_rig(cfg);
+    let (mut os, streams) = standby_rig(cfg);
     let mut class_faults = [0u64; 2];
     let mut class_recovered = [0u64; 2];
-    let mut class_unrecovered = [0u64; 2];
 
     for i in 0..cfg.faults {
         let class = (i % 2) as usize;
-        let target = if class == 0 {
-            names::CHR_PRINTER
-        } else {
-            names::CHR_AUDIO
-        };
-        if rig.done(class) {
-            // Safety valve: the stream is sized to outlast the schedule,
-            // but a wedged driver with no traffic cannot trip the
-            // complaint sentinels, so never inject into a dead class.
+        let target = STREAM_DRIVERS[class];
+        // Safety valve: the stream is sized to outlast the schedule, but
+        // a wedged driver with no traffic cannot trip the complaint
+        // sentinels, so never inject into a dead class.
+        if streams.class(class).1 {
             continue;
         }
         // Wait until the (possibly just-recovered) driver is actually
         // serving again: the class odometer must move.
-        let p0 = rig.progress(class);
-        let mut guard = 0;
-        while rig.progress(class) == p0 && !rig.done(class) && guard < 1200 {
-            rig.os.run_for(SimDuration::from_millis(10));
-            guard += 1;
-        }
-        if rig.done(class) {
+        let p0 = streams.class(class).0;
+        poll(&mut os, ms(10), 1200, |_| {
+            let (acked, done) = streams.class(class);
+            acked != p0 || done
+        });
+        if streams.class(class).1 {
             continue;
         }
         // Deterministic defect: wedge -> heartbeat miss, garble ->
         // complaint quorum. Both end in RS replacing the incarnation.
         let wedge = (i / 2) % 2 == 0;
         let injected = if wedge {
-            rig.os.wedge_driver_in_loop(target)
+            os.wedge_driver_in_loop(target)
         } else {
-            rig.os.garble_driver_checksum(target)
+            os.garble_driver_checksum(target)
         };
         if !injected {
-            rig.os.run_for(SimDuration::from_millis(100));
+            os.run_for(ms(100));
             continue;
         }
         class_faults[class] += 1;
-        let rec_before = rig.os.metrics().counter("rs.recoveries");
-        let mut guard = 0;
-        let mut recovered = false;
-        while guard < 2000 {
-            rig.os.run_for(SimDuration::from_millis(10));
-            guard += 1;
-            if rig.os.metrics().counter("rs.recoveries") > rec_before {
-                recovered = true;
-                break;
-            }
-        }
-        if recovered {
+        let rec_before = os.metrics().counter("rs.recoveries");
+        if poll(&mut os, ms(10), 2000, |os| {
+            os.metrics().counter("rs.recoveries") > rec_before
+        }) {
             class_recovered[class] += 1;
-        } else {
-            class_unrecovered[class] += 1;
         }
-        rig.os.run_for(cfg.fault_interval);
+        os.run_for(cfg.fault_interval);
     }
 
     // Drain: the streams are sized to outlast the schedule, so let both
-    // run to completion and the devices catch up (the DAC still has
-    // queued blocks, the printer FIFO is draining). The guard is sized
-    // for the leftover stream, not wall-clock comfort — the sim is fast.
-    let expected_printed = rig.job_len;
-    let expected_samples = rig.blocks_total * rig.block_bytes as u64;
-    let mut guard: u64 = 0;
-    let guard_max = (cfg.faults + 4) * 8 * 20 * 2; // 2x budget, 50 ms steps
-    loop {
-        let done = rig.lpd.borrow().done && rig.mp3.borrow().done;
-        let played = rig
-            .os
-            .device_mut::<AudioDac>(hwmap::AUDIO)
-            .map_or(0, |d| d.samples_played());
-        let printed = rig
-            .os
-            .device_mut::<Printer>(hwmap::PRINTER)
-            .map_or(0, |p| p.printed().len() as u64);
-        if (done && played >= expected_samples && printed >= expected_printed) || guard >= guard_max
-        {
-            break;
-        }
-        rig.os.run_for(SimDuration::from_millis(50));
-        guard += 1;
-    }
+    // run to completion and the devices catch up. The bound (2x budget in
+    // 50 ms steps) is sized for the leftover stream, not wall-clock
+    // comfort — the sim is fast.
+    let max_steps = (cfg.faults + 4) * 8 * 20 * 2;
+    poll(&mut os, ms(50), max_steps, |os| {
+        streams.played_out(os) && streams.printed_out(os)
+    });
 
-    let mut result = standby_fossilize(&mut rig, cfg);
+    let mut result = standby_fossilize(&mut os, cfg);
     result.faults = class_faults.iter().sum();
     for (i, c) in result.classes.iter_mut().enumerate() {
         c.faults = class_faults[i];
         c.recovered = class_recovered[i];
-        c.unrecovered = class_unrecovered[i];
+        c.unrecovered = class_faults[i] - class_recovered[i];
     }
-    result.expected_printed = expected_printed;
-    result.expected_samples = expected_samples;
-    let job = ckpt_print_job(cfg.seed, rig.job_len as usize);
-    if let Some(printer) = rig.os.device_mut::<Printer>(hwmap::PRINTER) {
-        result.printed_bytes = printer.printed().len() as u64;
-        result.printer_byte_exact = printer.printed() == &job[..];
-    }
-    if let Some(dac) = rig.os.device_mut::<AudioDac>(hwmap::AUDIO) {
-        result.samples_played = dac.samples_played();
-        result.audio_dup_bytes = result.samples_played.saturating_sub(expected_samples);
-    }
-    {
-        let lpd = rig.lpd.borrow();
-        let mp3 = rig.mp3.borrow();
-        result.app_visible_errors = lpd.app_errors + mp3.app_errors;
-        result.replays = lpd.replays + mp3.replays;
-        result.workloads_done = lpd.done && mp3.done;
-    }
-    (result, rig.os)
+    let v = streams.judge(&mut os);
+    result.expected_printed = streams.job.len() as u64;
+    result.expected_samples = streams.expected_samples();
+    result.printed_bytes = v.printed_bytes;
+    result.printer_byte_exact = v.printer_byte_exact;
+    result.samples_played = v.samples_played;
+    result.audio_dup_bytes = v.samples_played.saturating_sub(result.expected_samples);
+    result.app_visible_errors = v.app_visible_errors;
+    result.replays = v.replays;
+    result.workloads_done = v.workloads_done;
+    (result, os)
 }
 
 /// Runs the no-fault control arm: hot standby armed, the same workloads,
 /// zero injections, fixed virtual duration. Every promotion, recovery or
 /// accepted complaint it reports is a false failover.
 pub fn run_standby_control(cfg: &StandbyCampaignConfig, run_for: SimDuration) -> StandbyControl {
-    let mut rig = standby_rig(cfg);
-    rig.os.run_for(run_for);
-    let result = standby_fossilize(&mut rig, cfg);
-    let printed_acked = rig.progress(0);
-    let audio_acked = rig.progress(1);
+    let (mut os, streams) = standby_rig(cfg);
+    os.run_for(run_for);
+    let result = standby_fossilize(&mut os, cfg);
     StandbyControl {
         promotions: result.promotions,
         recoveries: result.recoveries,
-        complaints_accepted: rig.os.metrics().counter("rs.complaints.accepted"),
+        complaints_accepted: os.metrics().counter("rs.complaints.accepted"),
         spares_started: result.spares_started,
         tail_polls: result.tail_polls,
-        printed_acked,
-        audio_acked,
+        printed_acked: streams.class(0).0,
+        audio_acked: streams.class(1).0,
         digest: result.digest,
     }
 }
