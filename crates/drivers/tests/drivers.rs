@@ -5,15 +5,18 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use phoenix_ckpt::proto::{ckpt, ckpt_status, reply_ack, tag_request};
 use phoenix_drivers::libdriver::{Driver, FaultPort};
 use phoenix_drivers::proto::{bdev, cdev, drv, eth, status};
-use phoenix_drivers::{DiskDriver, Dp8390Driver, PrinterDriver, RamDiskDriver, Rtl8139Driver};
+use phoenix_drivers::{
+    AudioDriver, DiskDriver, Dp8390Driver, PrinterDriver, RamDiskDriver, Rtl8139Driver,
+};
 use phoenix_fault::{encode, Instr};
 use phoenix_hw::bus::{Bus, WireConfig};
 use phoenix_hw::disk::{synth_sector, DiskDevice, SECTOR};
 use phoenix_hw::dp8390::{Dp8390, Dp8390Config};
 use phoenix_hw::rtl8139::{Rtl8139, Rtl8139Config};
-use phoenix_hw::{PeerCtx, Printer, RemotePeer};
+use phoenix_hw::{AudioDac, PeerCtx, Printer, RemotePeer};
 use phoenix_kernel::memory::GrantAccess;
 use phoenix_kernel::privileges::{IpcFilter, KernelCall, Privileges};
 use phoenix_kernel::process::{ProcEvent, Process};
@@ -408,41 +411,130 @@ fn mutated_rx_path_kills_the_driver_with_an_exception() {
     assert!(sys.trace().find("MmuFault").is_some() || sys.trace().find("died").is_some());
 }
 
-#[test]
-fn printer_driver_applies_backpressure() {
+/// A stream-driver rig: the printer (1 KB/s, 4 KB FIFO) or the audio DAC,
+/// optionally checkpointed against a stand-in data store that has no
+/// snapshot on record and acknowledges every save.
+fn stream_rig(audio: bool, ckpt: bool) -> (System, Bus, Endpoint) {
     let mut sys = System::new(SystemConfig::default());
     let mut bus = Bus::new();
-    bus.add_device(DEV, IRQ, Box::new(Printer::new(1024))); // slow: 1 KB/s
-    let drv_ep = sys.spawn_boot(
-        "chr.printer",
-        Privileges::driver(DEV, IRQ),
-        Box::new(Driver::new(PrinterDriver::new(DEV, IRQ, FaultPort::new()))),
+    let device: Box<dyn phoenix_hw::Device> = if audio {
+        Box::new(AudioDac::new(176_400))
+    } else {
+        Box::new(Printer::new(1024))
+    };
+    bus.add_device(DEV, IRQ, device);
+    let ds = sys.spawn_boot(
+        "ds",
+        Privileges::server(),
+        Box::new(Probe {
+            hook: Box::new(|ctx, ev| {
+                if let ProcEvent::Request { call, msg } = ev {
+                    let reply = match msg.mtype {
+                        ckpt::RESTORE => {
+                            Message::new(ckpt::RESTORE_REPLY).with_param(0, ckpt_status::NOT_FOUND)
+                        }
+                        _ => Message::new(ckpt::SAVE_REPLY).with_param(0, ckpt_status::OK),
+                    };
+                    let _ = ctx.reply(*call, reply);
+                }
+            }),
+        }),
     );
-    let accepted: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
-    let a2 = accepted.clone();
+    let privs = Privileges::driver(DEV, IRQ).with_ipc(IpcFilter::AllowAll);
+    let fp = FaultPort::new();
+    let drv: Box<dyn Process> = match (audio, ckpt) {
+        (false, false) => Box::new(Driver::new(PrinterDriver::new(DEV, IRQ, fp))),
+        (false, true) => Box::new(Driver::new(
+            PrinterDriver::new(DEV, IRQ, fp).with_checkpointing(ds),
+        )),
+        (true, false) => Box::new(Driver::new(AudioDriver::new(DEV, IRQ, fp))),
+        (true, true) => Box::new(Driver::new(
+            AudioDriver::new(DEV, IRQ, fp).with_checkpointing(ds),
+        )),
+    };
+    let name = if audio { "chr.audio" } else { "chr.printer" };
+    let drv_ep = sys.spawn_boot(name, privs, drv);
+    (sys, bus, drv_ep)
+}
+
+/// Sends `writes` to the driver one at a time (each after the previous
+/// reply) and returns the replies.
+fn stream_replies(
+    sys: &mut System,
+    bus: &mut Bus,
+    drv_ep: Endpoint,
+    writes: Vec<Message>,
+) -> Vec<Message> {
+    let replies: Rc<RefCell<Vec<Message>>> = Rc::new(RefCell::new(Vec::new()));
+    let r2 = replies.clone();
+    let mut queue = writes.into_iter();
     sys.spawn_boot(
         "client",
         Privileges::server(),
         Box::new(Probe {
-            hook: Box::new(move |ctx, ev| match ev {
-                ProcEvent::Start => {
-                    // 6 KB into a 4 KB FIFO: the driver must truncate.
-                    let _ = ctx.sendrec(
-                        drv_ep,
-                        Message::new(cdev::WRITE).with_data(vec![b'x'; 6144]),
-                    );
+            hook: Box::new(move |ctx, ev| {
+                match ev {
+                    ProcEvent::Start => {}
+                    ProcEvent::Reply {
+                        result: Ok(reply), ..
+                    } => r2.borrow_mut().push(reply.clone()),
+                    _ => return,
                 }
-                ProcEvent::Reply {
-                    result: Ok(reply), ..
-                } => {
-                    a2.borrow_mut().push(reply.param(1));
+                if let Some(msg) = queue.next() {
+                    let _ = ctx.sendrec(drv_ep, msg);
                 }
-                _ => {}
             }),
         }),
     );
-    sys.run_until_idle(&mut bus, 500);
-    let acc = accepted.borrow();
-    assert_eq!(acc.len(), 1);
-    assert!(acc[0] > 0 && acc[0] <= 4096, "partial acceptance: {acc:?}");
+    sys.run_until_idle(bus, 2000);
+    replies.take()
+}
+
+#[test]
+fn printer_driver_applies_backpressure() {
+    let write = |n: usize| Message::new(cdev::WRITE).with_data(vec![b'x'; n]);
+    for audio in [false, true] {
+        let (mut sys, mut bus, drv_ep) = stream_rig(audio, false);
+        // 6 KB into the printer's 4 KB FIFO: the driver must truncate.
+        // The DAC queues the whole block, up to 64 KiB.
+        let mut writes = vec![write(6144), write(0)];
+        if audio {
+            writes.push(write(65_537));
+        }
+        let got = stream_replies(&mut sys, &mut bus, drv_ep, writes);
+        assert_eq!(got.len(), 2 + usize::from(audio), "audio={audio}");
+        assert_eq!(got[0].param(0), status::OK);
+        let acc = got[0].param(1);
+        if audio {
+            assert_eq!(acc, 6144, "whole-block acceptance");
+        } else {
+            assert!(acc > 0 && acc <= 4096, "partial acceptance: {acc}");
+        }
+        assert_eq!(
+            got[1].param(0),
+            status::EINVAL,
+            "empty write, audio={audio}"
+        );
+        if audio {
+            assert_eq!(got[2].param(0), status::EINVAL, "over-64 KiB write");
+        }
+
+        // Checkpointed: a logged resend of an already-committed offset is
+        // acked as a duplicate, without a second save.
+        let (mut sys, mut bus, drv_ep) = stream_rig(audio, true);
+        let logged = |seq: u64| tag_request(write(100), seq, 0);
+        let got = stream_replies(&mut sys, &mut bus, drv_ep, vec![logged(1), logged(2)]);
+        assert_eq!(got.len(), 2, "audio={audio}");
+        for (reply, seq) in got.iter().zip(1..) {
+            assert_eq!(reply.param(0), status::OK, "audio={audio} seq={seq}");
+            assert_eq!(reply.param(1), 100);
+            assert_eq!(reply_ack(reply), Some((100, seq)));
+        }
+        assert_eq!(
+            sys.metrics().counter("ckpt.dedup_bytes"),
+            100,
+            "audio={audio}"
+        );
+        assert_eq!(sys.metrics().counter("ckpt.saves"), 1, "audio={audio}");
+    }
 }
