@@ -18,6 +18,9 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test --workspace -q
 
+echo "==> benchmark build (simbench is a workspace of its own)"
+cargo build --release --offline --manifest-path simbench/Cargo.toml
+
 echo "==> recovery timeline smoke (episode completeness + export round-trip)"
 cargo run -q --release -p phoenix-bench --bin recovery_timeline -- --quick
 

@@ -304,7 +304,6 @@ fn main() -> ExitCode {
             ));
         }
         if pt.primary {
-            let (_, rec_samples) = recovery_p99(r);
             let rec_requests: u64 = [
                 phase::DETECT,
                 phase::REPAIR,
@@ -320,7 +319,6 @@ fn main() -> ExitCode {
                     "{tag} no requests attributed to any recovery phase"
                 ));
             }
-            let _ = rec_samples;
         }
         if !quick && pt.load == "full" && r.peak_live < 10_000 {
             gate.fail(format!(

@@ -259,6 +259,27 @@ impl DriverCkpt {
         }
     }
 
+    /// Quiescent-point save for a crash-only server: when `dirty`, saves
+    /// `encode()` once the restore handshake has completed. Returns the
+    /// new dirty flag: kept while a restore is in flight (the caller
+    /// retries on its next dispatch), cleared once saved or when
+    /// checkpointing is off (`ckpt` is `None`).
+    pub fn save_when_quiescent(
+        ckpt: Option<&mut DriverCkpt>,
+        ctx: &mut Ctx,
+        dirty: bool,
+        encode: impl FnOnce() -> Vec<u8>,
+    ) -> bool {
+        match ckpt {
+            Some(ckpt) if dirty && !ckpt.ready() => true,
+            Some(ckpt) if dirty => {
+                ckpt.save(ctx, encode());
+                false
+            }
+            _ => false,
+        }
+    }
+
     /// Adopts warm tailed state at promotion time: a hot spare that has
     /// been replaying the primary's checkpoint frames already holds the
     /// state a restore would fetch, so the handshake is skipped entirely

@@ -17,7 +17,7 @@
 //! |---|---|---|
 //! | network | [`net::Rtl8139Driver`], [`net::Dp8390Driver`] | yes, by the network server |
 //! | block | [`block::DiskDriver`] (SATA/floppy), [`block::RamDiskDriver`] | yes, by the file server |
-//! | character | [`chardrv::PrinterDriver`], [`chardrv::AudioDriver`], [`chardrv::ScsiCdDriver`] | maybe, by the application |
+//! | character | [`chardrv::StreamDriver`] (printer, audio: one driver, one [`chardrv::StreamDevice`] sink each), [`chardrv::ScsiCdDriver`] | maybe, by the application |
 
 pub mod block;
 pub mod chardrv;
@@ -27,6 +27,8 @@ pub mod proto;
 pub mod routines;
 
 pub use block::{DiskDriver, RamDiskDriver};
-pub use chardrv::{AudioDriver, KeyboardDriver, PrinterDriver, ScsiCdDriver};
+pub use chardrv::{
+    AudioDriver, KeyboardDriver, PrinterDriver, ScsiCdDriver, StreamDevice, StreamDriver,
+};
 pub use libdriver::{Driver, DriverLogic, FaultPort, GuardedRoutine};
 pub use net::{Dp8390Driver, Rtl8139Driver};

@@ -179,12 +179,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Sets the policy parameters (builder style).
-    pub fn with_params(mut self, params: Vec<String>) -> Self {
-        self.policy_params = params;
-        self
-    }
-
     /// Sets the heartbeat period (builder style).
     pub fn with_heartbeat(mut self, period: SimDuration, misses: u32) -> Self {
         self.heartbeat_period = Some(period);
@@ -195,14 +189,6 @@ impl ServiceConfig {
     /// Disables heartbeats (builder style).
     pub fn without_heartbeat(mut self) -> Self {
         self.heartbeat_period = None;
-        self
-    }
-
-    /// Sets the restart budget: at most `budget` restarts per `window`
-    /// before storm escalation (builder style).
-    pub fn with_budget(mut self, budget: u32, window: SimDuration) -> Self {
-        self.restart_budget = budget;
-        self.budget_window = window;
         self
     }
 
