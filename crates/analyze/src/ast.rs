@@ -549,11 +549,12 @@ pub fn parse_file(source: &str) -> FileAst {
                 pending_cfg_test = false;
             }
             TokenKind::Ident(kw) if kw == "fn" => {
-                let name = tokens
-                    .get(i + 1)
-                    .and_then(|t| t.kind.ident())
-                    .unwrap_or("")
-                    .to_string();
+                // A `fn(..)` pointer type has no name and is not an item.
+                let Some(name) = tokens.get(i + 1).and_then(|t| t.kind.ident()) else {
+                    i += 1;
+                    continue;
+                };
+                let name = name.to_string();
                 let line = tokens[i].line;
                 // Scan to the body `{` at angle-depth 0 (skips generics,
                 // args, return type) or a `;` (trait declaration).
@@ -609,17 +610,15 @@ pub fn parse_file(source: &str) -> FileAst {
                         _ => None,
                     })
                     .collect();
-                if !name.is_empty() {
-                    fns.push(FnItem {
-                        name,
-                        impl_type,
-                        mod_path,
-                        line,
-                        body,
-                        recovery_root: root_above(line),
-                        cfg_test: pending_cfg_test || enclosing_test,
-                    });
-                }
+                fns.push(FnItem {
+                    name,
+                    impl_type,
+                    mod_path,
+                    line,
+                    body,
+                    recovery_root: root_above(line),
+                    cfg_test: pending_cfg_test || enclosing_test,
+                });
                 pending_cfg_test = false;
                 i = j;
             }
@@ -789,6 +788,20 @@ fn after() {}
             !by_name("after").cfg_test,
             "scanning resumes after a test mod"
         );
+    }
+
+    #[test]
+    fn fn_pointer_types_do_not_swallow_later_items() {
+        let src = "
+type Make = fn(u32) -> Box<u32>;
+struct S { f: fn() }
+fn after() {}
+const LIMIT: usize = 1;
+";
+        let ast = parse_file(src);
+        assert_eq!(ast.fns.len(), 1);
+        assert_eq!(ast.fns[0].name, "after");
+        assert_eq!(ast.consts.len(), 1);
     }
 
     #[test]
