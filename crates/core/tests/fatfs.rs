@@ -205,6 +205,29 @@ fn fat_small_file_and_missing_file() {
                     2 => {
                         self.results.borrow_mut().push((reply.param(0), Vec::new()));
                         self.step = 3;
+                        // FAT names are case-insensitive.
+                        let _ = ctx.sendrec(
+                            self.vfs,
+                            Message::new(fs::OPEN).with_data(b"/fat/HELLO.TXT".to_vec()),
+                        );
+                    }
+                    3 => {
+                        assert_eq!(reply.param(0), status::OK, "upper-case name resolves");
+                        assert_eq!(reply.param(2), 14, "same file");
+                        self.step = 4;
+                        // The FAT volume is read-only.
+                        let _ = ctx.sendrec(
+                            self.vfs,
+                            Message::new(fs::WRITE)
+                                .with_param(0, reply.param(1))
+                                .with_param(1, 0)
+                                .with_param(7, 1)
+                                .with_data(vec![b'x'; 512]),
+                        );
+                    }
+                    4 => {
+                        self.results.borrow_mut().push((reply.param(0), Vec::new()));
+                        self.step = 5;
                     }
                     _ => {}
                 },
@@ -223,8 +246,9 @@ fn fat_small_file_and_missing_file() {
     );
     os.run_for(SimDuration::from_secs(2));
     let r = results.borrow();
-    assert_eq!(r.len(), 2);
+    assert_eq!(r.len(), 3);
     assert_eq!(r[0].0, status::OK);
     assert_eq!(r[0].1, b"hello from fat");
     assert_eq!(r[1].0, status::ENODEV, "missing file");
+    assert_eq!(r[2].0, status::EINVAL, "write to a read-only volume");
 }
