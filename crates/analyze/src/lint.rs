@@ -103,7 +103,6 @@ pub fn default_rules() -> Vec<Rule> {
                 "crates/servers/src/vfs.rs",
                 "crates/servers/src/inet.rs",
                 "crates/servers/src/mfs.rs",
-                "crates/servers/src/fatfs.rs",
                 "crates/servers/src/peer.rs",
                 "crates/servers/src/pm.rs",
                 "crates/simcore/src/obs.rs",

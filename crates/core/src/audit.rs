@@ -4,8 +4,8 @@
 //! component's *declared* privileges against the authority it actually
 //! *exercises*. "Actually exercises" needs a workload that drives every
 //! subsystem through its full repertoire: normal traffic, driver crashes
-//! and recoveries, a wedged driver caught by the file server's deadline
-//! complaint, and a chaos phase that stresses the retry paths. This
+//! and recoveries, wedged disk drivers caught by both file servers'
+//! deadline complaints, and a chaos phase that stresses the retry paths. This
 //! module runs that workload under the simulator and returns the
 //! observed-vs-declared snapshot for [`phoenix_kernel::audit`].
 //!
@@ -65,9 +65,9 @@ fn run_until(os: &mut Os, guard: u32, mut done: impl FnMut() -> bool) {
 }
 
 /// Boots the full system configuration and drives the authority
-/// workload: every server and driver class does real work, three drivers
-/// are crashed and recovered, one driver is wedged so the file server's
-/// deadline complaint path fires, and a chaos phase exercises the
+/// workload: every server and driver class does real work, four drivers
+/// are crashed and recovered, both disk drivers are wedged so each file
+/// server's deadline complaint path fires, and a chaos phase exercises the
 /// retransmit/reissue machinery. Returns the declared/observed snapshot.
 ///
 /// `overgrants` seed deliberate POLA violations into the declared tables
@@ -103,9 +103,9 @@ pub fn run_authority_workload(
             }],
         )
         .with_chardevs()
-        // Slow enough (detection ~8 s) that MFS's 5 s driver deadline
-        // fires first for the wedged SATA driver — the complaint path is
-        // part of the authority being audited.
+        // Slow enough (detection ~8 s) that the file servers' 5 s driver
+        // deadline fires first for the wedged SATA drivers — the
+        // complaint path is part of the authority being audited.
         .heartbeat(ms(2000), 3);
     for (service, grant) in overgrants {
         builder = builder.overgrant(&service, grant);
@@ -157,16 +157,17 @@ pub fn run_authority_workload(
         os.type_input(ms(20 * (i as u64 + 1)), chunk.to_vec());
     }
 
-    // Phase 2: driver defects mid-work. The SATA driver is wedged in a
-    // loop right away, so the first dd chunk drives it into the loop and
-    // MFS's per-chunk deadline expires and files a complaint with RS
-    // (§5.1 defect class 5) — exercising the file server's declared rs
-    // IPC grant. The printer driver gets its checksum computation
+    // Phase 2: driver defects mid-work. Both SATA drivers are wedged in a
+    // loop right away, so the first dd chunk on each drives it into the
+    // loop and the file server's per-chunk deadline expires and files a
+    // complaint with RS (§5.1 defect class 5) — exercising MFS's and
+    // FAT's declared rs IPC grants. The printer driver gets its checksum computation
     // garbled (a fail-silent defect): VFS's protocol sentinel spots the
     // bad echoes and complains until the quorum restarts it — the path
     // behind VFS's declared rs IPC grant. The ethernet driver is killed
     // outright mid-transfer (exit-report recovery).
     assert!(os.wedge_driver_in_loop(names::BLK_SATA), "sata wedge");
+    assert!(os.wedge_driver_in_loop(names::BLK_SATA2), "sata2 wedge");
     assert!(
         os.garble_driver_checksum(names::CHR_PRINTER),
         "printer garble"
@@ -184,8 +185,8 @@ pub fn run_authority_workload(
             && udp.borrow().done
     });
     assert!(
-        os.metrics().counter("rs.recoveries") >= 3,
-        "eth, printer and wedged sata all recovered (rs.recoveries={}, heartbeat={}, exit={}, complaint={})",
+        os.metrics().counter("rs.recoveries") >= 4,
+        "eth, printer and both wedged sata drivers all recovered (rs.recoveries={}, heartbeat={}, exit={}, complaint={})",
         os.metrics().counter("rs.recoveries"),
         os.metrics().counter("rs.defect.heartbeat"),
         os.metrics().counter("rs.defect.exit"),
@@ -194,6 +195,10 @@ pub fn run_authority_workload(
     assert!(
         os.metrics().counter("mfs.complaints") >= 1 || os.trace().find("complain").is_some(),
         "the wedge forced a deadline complaint"
+    );
+    assert!(
+        os.metrics().counter("fat.complaints") >= 1,
+        "the sata2 wedge forced FAT's deadline complaint"
     );
     assert!(
         os.metrics().counter("vfs.complaints") >= 1,

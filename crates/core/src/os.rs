@@ -30,7 +30,8 @@ use phoenix_kernel::privileges::{IpcFilter, KernelCall, Privileges};
 use phoenix_kernel::process::{Process, ProgramFactory};
 use phoenix_kernel::system::{System, SystemConfig};
 use phoenix_kernel::types::{DeviceId, Endpoint, IrqLine, Signal};
-use phoenix_servers::fsfmt::{self, FileSpec};
+use phoenix_servers::fsfat::FatVolume;
+use phoenix_servers::fsfmt::{self, FileSpec, MfsVolume};
 use phoenix_servers::peer::{FilePeer, PeerConfig};
 use phoenix_servers::policy::PolicyScript;
 use phoenix_servers::rs::{ReincarnationServer, ServiceConfig};
@@ -659,6 +660,7 @@ impl Os {
             names::MFS.to_string(),
             names::VFS.to_string(),
             names::INET.to_string(),
+            names::FAT.to_string(),
         ];
         let mut rs_privs = Privileges::reincarnation_server();
         let mut rs_server = ReincarnationServer::new(pm, ds, services, complainants)
@@ -776,9 +778,9 @@ impl Os {
             sys.register_program(
                 names::FAT,
                 Privileges::server()
-                    .with_ipc(IpcFilter::named(["ds", names::BLK_SATA2]))
-                    .with_calls([KernelCall::SetGrant]),
-                Box::new(move || Box::new(phoenix_servers::FatServer::new(ds, names::BLK_SATA2))),
+                    .with_ipc(IpcFilter::named(["ds", "rs", names::BLK_SATA2]))
+                    .with_calls([KernelCall::SetGrant, KernelCall::SetAlarm]),
+                Box::new(move || Box::new(FileServer::<FatVolume>::new(ds, rs, names::BLK_SATA2))),
             );
             let fp2 = fp.clone();
             sys.register_program(
@@ -801,7 +803,7 @@ impl Os {
                     .with_ipc(IpcFilter::named(["ds", "rs", names::BLK_SATA]))
                     .with_calls([KernelCall::SetGrant, KernelCall::SetAlarm]),
                 Box::new(move || {
-                    let mut mfs = FileServer::new(ds, rs, names::BLK_SATA);
+                    let mut mfs = FileServer::<MfsVolume>::new(ds, rs, names::BLK_SATA);
                     if ckpt_on {
                         mfs = mfs
                             .with_checkpointing()

@@ -10,8 +10,10 @@ use phoenix::apps::{
 };
 use phoenix::os::{hwmap, names, NicKind, Os};
 use phoenix_hw::chardev::ScsiCdBurner;
+use phoenix_hw::disk::DiskModel;
 use phoenix_hw::rtl8139::Rtl8139;
 use phoenix_hw::AudioDac;
+use phoenix_servers::fsfat::{expected_sha1_fat, mkfs_fat, FatContent, FatFileSpec};
 use phoenix_servers::fsfmt::{FileContent, FileSpec};
 use phoenix_servers::netproto::stream_md5;
 use phoenix_simcore::time::SimDuration;
@@ -323,41 +325,77 @@ fn heartbeat_detects_stuck_driver() {
 fn complaint_detects_unresponsive_driver_without_heartbeats() {
     // §5.1 input 5: with heartbeats off, only the file server's response
     // deadline catches a stuck disk driver; it complains to RS, which
-    // replaces the driver, and the read still completes.
+    // replaces the driver, and the read still completes. Both volume
+    // types get the same deadline: MFS on its disk, FAT on the second.
     let disk_seed = 11;
     let file_size = 1_000_000u64;
     let sectors = file_size / 512 + 1024;
-    let mut os = Os::builder()
-        .seed(10)
-        .with_disk(
-            sectors,
-            disk_seed,
-            phoenix::experiments::fig8_files(file_size),
-        )
-        .no_heartbeat()
-        .boot();
-    let vfs = os.endpoint(names::VFS).unwrap();
-    let status = Rc::new(RefCell::new(DdStatus::default()));
-    let old = os.endpoint(names::BLK_SATA).unwrap();
-    // Wedge the driver *before* dd's first request reaches it.
-    assert!(os.wedge_driver_in_loop(names::BLK_SATA));
-    os.spawn_app(
-        "dd",
-        Box::new(Dd::new(vfs, "bigfile", 64 * 1024, status.clone())),
-    );
-    // MFS's first request hangs the driver; the 5s deadline passes; MFS
-    // complains; RS replaces the driver; the request is reissued.
-    let mut guard = 0;
-    while !status.borrow().done && guard < 300 {
-        os.run_for(ms(100));
-        guard += 1;
+    let fat_files = vec![FatFileSpec {
+        name: "big.bin".to_string(),
+        content: FatContent::Synthetic {
+            size: file_size as u32,
+        },
+    }];
+    let mut scratch = DiskModel::new(sectors, disk_seed);
+    let (bpb, dirents) = mkfs_fat(&mut scratch, &fat_files);
+    let cases = [
+        (
+            names::BLK_SATA,
+            "bigfile",
+            "mfs.complaints",
+            phoenix::experiments::fig8_expected_sha1(sectors, disk_seed, file_size),
+        ),
+        (
+            names::BLK_SATA2,
+            "/fat/big.bin",
+            "fat.complaints",
+            expected_sha1_fat(disk_seed, &bpb, &dirents[0]),
+        ),
+    ];
+    for (driver, path, complaints, sha1) in cases {
+        let builder = Os::builder().seed(10).no_heartbeat();
+        let builder = if driver == names::BLK_SATA {
+            builder.with_disk(
+                sectors,
+                disk_seed,
+                phoenix::experiments::fig8_files(file_size),
+            )
+        } else {
+            builder.with_fat_disk(sectors, disk_seed, fat_files.clone())
+        };
+        let mut os = builder.boot();
+        let vfs = os.endpoint(names::VFS).unwrap();
+        let status = Rc::new(RefCell::new(DdStatus::default()));
+        let old = os.endpoint(driver).unwrap();
+        // Wedge the driver *before* dd's first request reaches it.
+        assert!(os.wedge_driver_in_loop(driver));
+        os.spawn_app(
+            "dd",
+            Box::new(Dd::new(vfs, path, 64 * 1024, status.clone())),
+        );
+        // The first request hangs the driver; the 5s deadline passes; the
+        // file server complains; RS replaces the driver; the request is
+        // reissued.
+        let mut guard = 0;
+        while !status.borrow().done && guard < 300 {
+            os.run_for(ms(100));
+            guard += 1;
+        }
+        let st = status.borrow();
+        assert!(
+            st.done,
+            "{path}: read completes after complaint-driven recovery"
+        );
+        assert_eq!(st.errors, 0, "{path}");
+        assert_eq!(
+            st.sha1.as_deref(),
+            Some(sha1.as_str()),
+            "{path}: data intact"
+        );
+        assert!(os.metrics().counter(complaints) >= 1, "{complaints}");
+        assert_eq!(os.metrics().counter("rs.defect.complaint"), 1, "{path}");
+        assert_ne!(os.endpoint(driver), Some(old), "{path}");
     }
-    let st = status.borrow();
-    assert!(st.done, "read completes after complaint-driven recovery");
-    assert_eq!(st.errors, 0);
-    assert!(os.metrics().counter("mfs.complaints") >= 1);
-    assert_eq!(os.metrics().counter("rs.defect.complaint"), 1);
-    assert_ne!(os.endpoint(names::BLK_SATA), Some(old));
 }
 
 #[test]

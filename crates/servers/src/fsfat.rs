@@ -1,10 +1,11 @@
-//! FAT16 on-disk format and `mkfs.fat`.
+//! FAT16 on-disk format, its [`FatVolume`] mount plan, and `mkfs.fat`.
 //!
 //! Fig. 5 of the paper shows *two* file servers — the native MFS and a FAT
 //! server — both recovering transparently from block-driver failures. This
 //! module provides a compact but real FAT16 layout (boot sector with BPB,
-//! one FAT, a fixed root directory, cluster chains) so the FAT server in
-//! [`crate::fatfs`] has something faithful to mount.
+//! one FAT, a fixed root directory, cluster chains) and serves it through
+//! the same [`crate::mfs::FileServer`] as the native format, so the second
+//! file server shares the first one's recovery code rather than a copy.
 //!
 //! ```text
 //! LBA 0                boot sector (BPB + 0xAA55)
@@ -15,6 +16,8 @@
 
 use phoenix_hw::disk::{synth_sector, DiskModel, SECTOR};
 use phoenix_simcore::digest::Sha1;
+
+use crate::mfs::{MountStep, Volume};
 
 /// Sectors per cluster used by `mkfs_fat`.
 pub const SECTORS_PER_CLUSTER: u8 = 4;
@@ -175,6 +178,125 @@ pub fn decode_dirent(raw: &[u8]) -> Option<DirEntry> {
         first_cluster: u16::from_le_bytes([raw[26], raw[27]]),
         size: u32::from_le_bytes([raw[28], raw[29], raw[30], raw[31]]),
     })
+}
+
+/// A mounted file: directory entry plus its resolved cluster chain.
+#[derive(Debug, Clone)]
+struct FatFile {
+    entry: DirEntry,
+    /// Cluster chain in order.
+    chain: Vec<u16>,
+}
+
+/// FAT16 as a read-only [`Volume`] for the file server: boot sector →
+/// FAT → root directory, with each file's cluster chain resolved at
+/// mount time so serving works from memory like MFS's extents.
+#[derive(Debug, Default)]
+pub struct FatVolume {
+    bpb: Option<Bpb>,
+    fat: Vec<u16>,
+    files: Vec<FatFile>,
+}
+
+impl FatVolume {
+    /// Bytes per cluster.
+    fn cluster_bytes(bpb: &Bpb) -> u64 {
+        u64::from(bpb.sectors_per_cluster) * SECTOR as u64
+    }
+
+    /// The cluster chain starting at `first`, cut short if it loops.
+    fn chain(&self, first: u16) -> Vec<u16> {
+        let mut chain = Vec::new();
+        let mut c = first;
+        while c != EOC && c >= 2 && chain.len() <= self.fat.len() {
+            chain.push(c);
+            c = self.fat.get(usize::from(c)).copied().unwrap_or(EOC);
+        }
+        chain
+    }
+}
+
+impl Volume for FatVolume {
+    const KEY: &'static str = "fat";
+    const WRITABLE: bool = false;
+
+    fn mount_step(&mut self, step: u8, data: &[u8]) -> MountStep {
+        if step == 0 {
+            let Some(bpb) = Bpb::decode(data) else {
+                return MountStep::Bad("bad FAT boot sector");
+            };
+            let next = MountStep::Read {
+                lba: bpb.fat_start(),
+                sectors: u64::from(bpb.fat_size),
+            };
+            self.bpb = Some(bpb);
+            return next;
+        }
+        let Some(bpb) = self.bpb.as_ref() else {
+            return MountStep::Bad("mount lost BPB");
+        };
+        if step == 1 {
+            self.fat = data
+                .chunks_exact(2)
+                .map(|c| u16::from_le_bytes([c[0], c[1]]))
+                .collect();
+            return MountStep::Read {
+                lba: bpb.root_start(),
+                sectors: bpb.root_sectors(),
+            };
+        }
+        self.files = data
+            .chunks_exact(32)
+            .filter_map(decode_dirent)
+            .map(|entry| FatFile {
+                chain: self.chain(entry.first_cluster),
+                entry,
+            })
+            .collect();
+        MountStep::Done(self.files.len())
+    }
+
+    fn lookup(&self, name: &str) -> Option<(usize, u64)> {
+        let name = name.to_lowercase();
+        let idx = self.files.iter().position(|f| f.entry.name == name)?;
+        Some((idx, u64::from(self.files[idx].entry.size)))
+    }
+
+    fn file_size(&self, file: usize) -> Option<u64> {
+        self.files.get(file).map(|f| u64::from(f.entry.size))
+    }
+
+    fn locate(&self, file: usize, offset: u64) -> Option<(u64, usize)> {
+        let (bpb, f) = (self.bpb.as_ref()?, self.files.get(file)?);
+        if offset >= u64::from(f.entry.size) {
+            return None;
+        }
+        let cluster_bytes = Self::cluster_bytes(bpb);
+        let cluster = *f.chain.get((offset / cluster_bytes) as usize)?;
+        let within = offset % cluster_bytes;
+        Some((
+            bpb.cluster_lba(cluster) + within / SECTOR as u64,
+            (within % SECTOR as u64) as usize,
+        ))
+    }
+
+    /// Sequentially allocated clusters merge into one long run.
+    fn contiguous_sectors_at(&self, file: usize, offset: u64) -> u64 {
+        let (Some(bpb), Some(f)) = (self.bpb.as_ref(), self.files.get(file)) else {
+            return 0;
+        };
+        let cluster_bytes = Self::cluster_bytes(bpb);
+        let first = (offset / cluster_bytes) as usize;
+        let Some(run) = f.chain.get(first..).filter(|run| !run.is_empty()) else {
+            return 0;
+        };
+        let clusters = 1 + run
+            .windows(2)
+            .take_while(|w| u32::from(w[1]) == u32::from(w[0]) + 1)
+            .count() as u64;
+        let sector_in_cluster = (offset % cluster_bytes) / SECTOR as u64;
+        clusters * u64::from(bpb.sectors_per_cluster) - sector_in_cluster
+    }
 }
 
 /// What `mkfs_fat` should put in a file.

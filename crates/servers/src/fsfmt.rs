@@ -1,4 +1,4 @@
-//! On-disk filesystem format and `mkfs`.
+//! On-disk filesystem format, its [`MfsVolume`] mount plan, and `mkfs`.
 //!
 //! A deliberately small extent-based filesystem, enough to host the
 //! workloads of §7.1 (a 1 GB file "filled with random data" read through
@@ -17,6 +17,8 @@
 
 use phoenix_hw::disk::{synth_sector, DiskModel, SECTOR};
 use phoenix_simcore::digest::Sha1;
+
+use crate::mfs::{MountStep, Volume};
 
 /// Superblock magic.
 pub const MAGIC: &[u8; 8] = b"PHXFS1\0\0";
@@ -161,6 +163,90 @@ impl Superblock {
             inode_table_lba: u64::from_le_bytes(raw[16..24].try_into().ok()?),
             inode_table_sectors: u32::from_le_bytes(raw[24..28].try_into().ok()?),
         })
+    }
+}
+
+/// The native format as a [`Volume`] for the file server: superblock →
+/// inode table, read-write.
+#[derive(Debug, Default)]
+pub struct MfsVolume {
+    superblock: Option<Superblock>,
+    inodes: Vec<Inode>,
+}
+
+impl Volume for MfsVolume {
+    const KEY: &'static str = "mfs";
+    const WRITABLE: bool = true;
+
+    fn mount_step(&mut self, step: u8, data: &[u8]) -> MountStep {
+        if step > 0 {
+            self.inodes = data.chunks(INODE_SIZE).filter_map(Inode::decode).collect();
+            return MountStep::Done(self.inodes.len());
+        }
+        let Some(sb) = Superblock::decode(data) else {
+            return MountStep::Bad("bad superblock");
+        };
+        let next = MountStep::Read {
+            lba: sb.inode_table_lba,
+            sectors: u64::from(sb.inode_table_sectors),
+        };
+        self.superblock = Some(sb);
+        next
+    }
+
+    fn lookup(&self, name: &str) -> Option<(usize, u64)> {
+        let idx = self.inodes.iter().position(|i| i.name == name)?;
+        Some((idx, self.inodes[idx].size))
+    }
+
+    fn file_size(&self, file: usize) -> Option<u64> {
+        self.inodes.get(file).map(|i| i.size)
+    }
+
+    fn locate(&self, file: usize, offset: u64) -> Option<(u64, usize)> {
+        self.inodes.get(file)?.locate(offset)
+    }
+
+    fn contiguous_sectors_at(&self, file: usize, offset: u64) -> u64 {
+        self.inodes
+            .get(file)
+            .map_or(0, |i| i.contiguous_sectors_at(offset))
+    }
+
+    /// One superblock sector, then the inode count and table.
+    fn snapshot(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        match &self.superblock {
+            Some(sb) => out.extend_from_slice(&sb.encode()),
+            None => out.extend_from_slice(&vec![0u8; SECTOR]),
+        }
+        out.extend_from_slice(&(self.inodes.len() as u16).to_le_bytes());
+        for ino in &self.inodes {
+            out.extend_from_slice(&ino.encode());
+        }
+        out
+    }
+
+    fn restore(&mut self, payload: &[u8]) -> bool {
+        let Some(sb) = payload.get(..SECTOR).and_then(Superblock::decode) else {
+            return false;
+        };
+        let Some(count_bytes) = payload.get(SECTOR..SECTOR + 2) else {
+            return false;
+        };
+        let count = u16::from_le_bytes(count_bytes.try_into().unwrap_or([0; 2])) as usize;
+        let mut inodes = Vec::with_capacity(count);
+        let mut at = SECTOR + 2;
+        for _ in 0..count {
+            let Some(ino) = payload.get(at..at + INODE_SIZE).and_then(Inode::decode) else {
+                return false;
+            };
+            inodes.push(ino);
+            at += INODE_SIZE;
+        }
+        self.superblock = Some(sb);
+        self.inodes = inodes;
+        true
     }
 }
 

@@ -12,16 +12,16 @@
 //!   inputs and policy-driven recovery.
 //! * [`policy`] — the parametrized policy-script language (§5.2, Fig. 2).
 //! * [`vfs`] / [`mfs`] / [`fsfmt`] — the virtual file system, the file
-//!   server with transparent block-driver recovery (§6.2), and the
-//!   on-disk format + `mkfs`.
-//! * [`fatfs`] / [`fsfat`] — the second file server of Fig. 5: a FAT16
-//!   server with the same recovery contract, over its own disk + driver.
+//!   server with transparent block-driver recovery (§6.2), generic over
+//!   the on-disk format, and the native format + `mkfs`.
+//! * [`fsfat`] — FAT16, the second volume type of Fig. 5: served by the
+//!   same file server (and so the same recovery code) over its own
+//!   disk + driver.
 //! * [`inet`] / [`netproto`] / [`peer`] — the network server with
 //!   transparent Ethernet-driver recovery (§6.1), the TCP-like transport,
 //!   and the remote "Internet server" peer of Fig. 7.
 
 pub mod ds;
-pub mod fatfs;
 pub mod faultplane;
 pub mod fsfat;
 pub mod fsfmt;
@@ -36,7 +36,6 @@ pub mod rs;
 pub mod vfs;
 
 pub use ds::{DataStore, SharedRecords};
-pub use fatfs::FatServer;
 pub use faultplane::{FaultPlane, ServerFault};
 pub use inet::Inet;
 pub use mfs::FileServer;
