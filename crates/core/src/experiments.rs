@@ -14,6 +14,37 @@ use phoenix_simcore::time::{SimDuration, SimTime};
 use crate::apps::{CdBurn, CdBurnStatus, Dd, DdStatus, Lpd, LpdStatus, Wget, WgetStatus};
 use crate::os::{names, NicKind, Os};
 
+/// Runs `os` in 100 ms slices until `done()` or `deadline`, SIGKILLing
+/// `driver` every `interval` (never for `None`) the way the paper's
+/// crash-simulation script does (§7.1). Returns the kills performed.
+fn kill_periodically(
+    os: &mut Os,
+    driver: &str,
+    interval: Option<SimDuration>,
+    deadline: SimTime,
+    done: impl Fn() -> bool,
+) -> u64 {
+    let mut kills = 0u64;
+    let mut next_kill = interval.map(|i| os.now() + i);
+    let slice = SimDuration::from_millis(100);
+    while !done() && os.now() < deadline {
+        let target = match next_kill {
+            Some(nk) => nk.min(os.now() + slice),
+            None => os.now() + slice,
+        };
+        os.run_for(target.since(os.now()).max_one());
+        if let (Some(nk), Some(i)) = (next_kill, interval) {
+            if os.now() >= nk {
+                if os.kill_by_user(driver) {
+                    kills += 1;
+                }
+                next_kill = Some(nk + i);
+            }
+        }
+    }
+    kills
+}
+
 /// Result of one Fig. 7 network run.
 #[derive(Debug, Clone)]
 pub struct NetRunResult {
@@ -50,30 +81,12 @@ pub fn fig7_network_run(size: u64, kill_interval: Option<SimDuration>, seed: u64
     );
 
     let driver = os.eth_driver_name().expect("network configured");
-    let mut kills = 0u64;
-    let mut next_kill = kill_interval.map(|i| start + i);
     // Generous timeout: 20x the ideal transfer time plus a minute.
     let deadline =
         start + SimDuration::from_secs_f64(size as f64 / 500_000.0) + SimDuration::from_secs(60);
-    let slice = SimDuration::from_millis(100);
-    while !status.borrow().done && os.now() < deadline {
-        let target = match next_kill {
-            Some(nk) => nk.min(os.now() + slice),
-            None => os.now() + slice,
-        };
-        let d = target.since(os.now()).max_one();
-        os.run_for(d);
-        if let Some(nk) = next_kill {
-            if os.now() >= nk {
-                // The paper's crash-simulation script: look up the driver
-                // and SIGKILL it (§7.1).
-                if os.kill_by_user(driver) {
-                    kills += 1;
-                }
-                next_kill = Some(nk + kill_interval.expect("interval set"));
-            }
-        }
-    }
+    let kills = kill_periodically(&mut os, driver, kill_interval, deadline, || {
+        status.borrow().done
+    });
     let st = status.borrow();
     let finished = st.finished_at.unwrap_or(os.now());
     let elapsed = finished.since(start);
@@ -157,27 +170,12 @@ pub fn fig8_disk_run(
         Box::new(Dd::new(vfs, "bigfile", 128 * 1024, status.clone())),
     );
 
-    let mut kills = 0u64;
-    let mut next_kill = kill_interval.map(|i| start + i);
     let deadline = start
         + SimDuration::from_secs_f64(file_size as f64 / 1_500_000.0)
         + SimDuration::from_secs(60);
-    let slice = SimDuration::from_millis(100);
-    while !status.borrow().done && os.now() < deadline {
-        let target = match next_kill {
-            Some(nk) => nk.min(os.now() + slice),
-            None => os.now() + slice,
-        };
-        os.run_for(target.since(os.now()).max_one());
-        if let Some(nk) = next_kill {
-            if os.now() >= nk {
-                if os.kill_by_user(names::BLK_SATA) {
-                    kills += 1;
-                }
-                next_kill = Some(nk + kill_interval.expect("interval set"));
-            }
-        }
-    }
+    let kills = kill_periodically(&mut os, names::BLK_SATA, kill_interval, deadline, || {
+        status.borrow().done
+    });
     let st = status.borrow();
     let finished = st.finished_at.unwrap_or(os.now());
     let elapsed = finished.since(start);
