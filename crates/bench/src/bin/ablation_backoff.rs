@@ -23,8 +23,6 @@ fn run_with(policy_name: &str, policy: PolicyScript) -> Vec<String> {
         let nic: &mut Rtl8139 = os.device_mut(hwmap::NIC).unwrap();
         nic.force_wedge();
     }
-    let events_before = 0;
-    let _ = events_before;
     os.kill_by_user(names::ETH_RTL8139);
     os.run_for(SimDuration::from_secs(60));
     let attempts = os.metrics().counter("rs.defect.exit") + 1; // +1: the kill

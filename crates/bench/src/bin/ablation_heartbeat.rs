@@ -27,12 +27,9 @@ fn main() {
         os.run_for(SimDuration::from_secs(10));
         let hb_msgs_per_s = (os.metrics().counter("ipc.sends") - sends_before) as f64 / 10.0;
 
-        // Wedge the driver in an infinite loop; its next event hangs it.
-        // Heartbeats themselves drive the driver into the loop? No — the
-        // loop is on the request path; poke it with one ping by asking
-        // the driver to handle any message. The heartbeat ping itself is
-        // handled by libdriver *before* the hot path, so use the stuck
-        // hook instead: overwrite the code and send one frame through.
+        // Wedge the driver in an infinite loop. libdriver answers
+        // heartbeat pings before the hot path, so the wedge needs
+        // datagram traffic to trigger.
         let stuck_at = os.now();
         os.wedge_driver_in_loop(names::ETH_RTL8139);
         // Traffic to trigger the loop: one datagram via INET.
