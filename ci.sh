@@ -42,4 +42,7 @@ cargo run -q --release -p phoenix-bench --bin fleet_campaign -- --quick
 echo "==> standby MTTR smoke (hot-standby promotion beats restart+replay + zero false promotions + clamped adaptation + determinism)"
 cargo run -q --release -p phoenix-bench --bin standby_mttr -- --quick
 
+echo "==> quick results unchanged (a refactor that moves any quick digest or report fails here)"
+git diff --exit-code -- 'results/*_quick*'
+
 echo "==> ci.sh: all green"
